@@ -10,12 +10,13 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import (
-    CapacityError,
     DefinabilityError,
+    KneserParams,
     ParameterError,
     Vertex,
     VertexFamily,
     distance_at_most_2,
+    internal_check,
     popcount,
 )
 
@@ -36,97 +37,87 @@ class VerificationReport:
     checked_count: int
 
     def __post_init__(self) -> None:
-        assert self.valid == (self.witness_violation is None)
+        internal_check(self.valid == (self.witness_violation is None),
+                       "a report is valid exactly when it names no violation")
 
 
-def _check_k(k: int) -> None:
+# How much a member of D counts toward its own demand of k. Under
+# k-domination members are exempt: they are not checked, which the search
+# models as a credit of k. A member lies in its own closed neighborhood (1)
+# but not in its open one (0).
+EXEMPT = "exempt"
+SELF_CREDIT: dict[InvariantKind, int | str] = {
+    InvariantKind.K_DOMINATION: EXEMPT,
+    InvariantKind.K_TUPLE: 1,
+    InvariantKind.K_TUPLE_TOTAL: 0,
+}
+
+
+def self_credit(kind: InvariantKind, k: int) -> int:
+    """The credit a member of D earns toward its own demand of k."""
+    credit = SELF_CREDIT[kind]
+    return k if credit == EXEMPT else credit
+
+
+def is_defined(params: KneserParams, kind: InvariantKind, k: int) -> bool:
+    """Whether some family meets the demand: D = V(G) gives each vertex its
+    degree plus its self-credit, and no family gives more."""
+    return params.min_degree + self_credit(kind, k) >= k
+
+
+def _verify_domination(
+    D: VertexFamily, kind: InvariantKind, k: int, ceiling: int | None
+) -> VerificationReport:
+    """Every checked vertex u needs |N(u) ∩ D|, plus its self-credit if u is
+    in D, to reach k; exempt members are not checked."""
     if k < 1:
         raise ParameterError(f"k must be a positive integer, got {k}")
+    if not is_defined(D.params, kind, k):
+        raise DefinabilityError(
+            f"{kind.value} with k={k} undefined on K({D.params.n},{D.params.r})"
+        )
+    D.params.check_capacity(ceiling)
+    exempt = SELF_CREDIT[kind] == EXEMPT
+    credit = self_credit(kind, k)
+    masks = D.member_masks()
+    member_set = set(masks)
+    checked = 0
+    for u in D.params.vertex_masks():
+        hits = 0
+        if u in member_set:
+            if exempt:
+                continue
+            hits = credit
+        checked += 1
+        for m in masks:
+            if (u & m) == 0:
+                hits += 1
+                if hits >= k:
+                    break
+        if hits < k:
+            return VerificationReport(False, kind, k, Vertex(u), checked)
+    return VerificationReport(True, kind, k, None, checked)
 
 
 def verify_k_dominating(
     D: VertexFamily, k: int, ceiling: int | None = None
 ) -> VerificationReport:
     """Every vertex outside D must have at least k neighbors in D."""
-    _check_k(k)
-    D.params.check_capacity(ceiling)
-    member_set = set(D.member_masks())
-    masks = D.member_masks()
-    checked = 0
-    for u in D.params.vertex_masks():
-        if u in member_set:
-            continue
-        checked += 1
-        hits = 0
-        for m in masks:
-            if (u & m) == 0:
-                hits += 1
-                if hits >= k:
-                    break
-        if hits < k:
-            return VerificationReport(
-                False, InvariantKind.K_DOMINATION, k, Vertex(u), checked
-            )
-    return VerificationReport(True, InvariantKind.K_DOMINATION, k, None, checked)
+    return _verify_domination(D, InvariantKind.K_DOMINATION, k, ceiling)
 
 
 def verify_k_tuple_dominating(
     D: VertexFamily, k: int, ceiling: int | None = None
 ) -> VerificationReport:
     """Every closed neighborhood must contain at least k members of D."""
-    _check_k(k)
-    if D.params.min_degree < k - 1:
-        raise DefinabilityError(
-            f"{k}-tuple domination undefined on K({D.params.n},{D.params.r}): "
-            f"minimum degree {D.params.min_degree} < k-1"
-        )
-    D.params.check_capacity(ceiling)
-    member_set = set(D.member_masks())
-    masks = D.member_masks()
-    checked = 0
-    for u in D.params.vertex_masks():
-        checked += 1
-        hits = 1 if u in member_set else 0
-        if hits < k:
-            for m in masks:
-                if (u & m) == 0:
-                    hits += 1
-                    if hits >= k:
-                        break
-        if hits < k:
-            return VerificationReport(
-                False, InvariantKind.K_TUPLE, k, Vertex(u), checked
-            )
-    return VerificationReport(True, InvariantKind.K_TUPLE, k, None, checked)
+    return _verify_domination(D, InvariantKind.K_TUPLE, k, ceiling)
 
 
 def verify_k_tuple_total_dominating(
     D: VertexFamily, k: int, ceiling: int | None = None
 ) -> VerificationReport:
     """Every open neighborhood must contain at least k members of D."""
-    _check_k(k)
-    if D.params.min_degree < k:
-        raise DefinabilityError(
-            f"{k}-tuple total domination undefined on "
-            f"K({D.params.n},{D.params.r}): minimum degree "
-            f"{D.params.min_degree} < k"
-        )
-    D.params.check_capacity(ceiling)
-    masks = D.member_masks()
-    checked = 0
-    for u in D.params.vertex_masks():
-        checked += 1
-        hits = 0
-        for m in masks:
-            if (u & m) == 0:
-                hits += 1
-                if hits >= k:
-                    break
-        if hits < k:
-            return VerificationReport(
-                False, InvariantKind.K_TUPLE_TOTAL, k, Vertex(u), checked
-            )
-    return VerificationReport(True, InvariantKind.K_TUPLE_TOTAL, k, None, checked)
+    return _verify_domination(D, InvariantKind.K_TUPLE_TOTAL, k, ceiling)
 
 
 def verify_2_packing(S: VertexFamily) -> VerificationReport:
@@ -157,13 +148,6 @@ def verify_2_packing(S: VertexFamily) -> VerificationReport:
     return VerificationReport(True, InvariantKind.TWO_PACKING, 0, None, checked)
 
 
-_DOMINATION_VERIFIERS = {
-    InvariantKind.K_DOMINATION: verify_k_dominating,
-    InvariantKind.K_TUPLE: verify_k_tuple_dominating,
-    InvariantKind.K_TUPLE_TOTAL: verify_k_tuple_total_dominating,
-}
-
-
 def verify(
     family: VertexFamily,
     kind: InvariantKind,
@@ -173,4 +157,4 @@ def verify(
     """Dispatch to the verifier for the given invariant kind."""
     if kind is InvariantKind.TWO_PACKING:
         return verify_2_packing(family)
-    return _DOMINATION_VERIFIERS[kind](family, k, ceiling)
+    return _verify_domination(family, kind, k, ceiling)

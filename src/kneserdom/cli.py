@@ -38,8 +38,6 @@ EXIT_FAIL = 1
 EXIT_TIMEOUT = 2
 EXIT_USAGE = 64
 
-_ATTEMPT_OPEN_TIMEOUT = 100_000.0
-
 INVARIANT_NAMES = {
     "gamma_k": InvariantKind.K_DOMINATION,
     "gamma_xk": InvariantKind.K_TUPLE,
@@ -75,19 +73,14 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("text", "json", "csv"),
                         default="text")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized workflows (recorded in output)")
 
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--timeout", type=float, default=60.0,
                         help="solver budget in seconds")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--no-symmetry-breaking", action="store_true")
     parser.add_argument("--vertex-ceiling", type=int, default=None,
                         help="override the enumeration vertex ceiling")
-    parser.add_argument("--attempt-open", action="store_true",
-                        help="allow very long runs on open instances")
 
 
 def build_parser() -> _Parser:
@@ -138,12 +131,8 @@ def build_parser() -> _Parser:
 
 
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
-    timeout = args.timeout
-    if args.attempt_open and timeout == 60.0:
-        timeout = _ATTEMPT_OPEN_TIMEOUT
     return SolverConfig(
-        timeout=timeout,
-        thread_count=args.threads,
+        timeout=args.timeout,
         symmetry_breaking=not args.no_symmetry_breaking,
         vertex_ceiling=args.vertex_ceiling,
     )
@@ -304,22 +293,14 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 def _run_table1(cfg: SolverConfig) -> list[dict]:
     rows = []
-    kinds = (
-        ("gamma_k", InvariantKind.K_DOMINATION),
-        ("gamma_xk", InvariantKind.K_TUPLE),
-        ("gamma_xkt", InvariantKind.K_TUPLE_TOTAL),
-    )
     for n, expected_cells in sorted(TABLE1_EXPECTED.items()):
-        for (label, kind), expected in zip(kinds, expected_cells):
+        for label, expected in zip(("gamma_k", "gamma_xk", "gamma_xkt"),
+                                   expected_cells):
+            kind = INVARIANT_NAMES[label]
             result = solve_domination(KneserParams(n, 2), kind, 2, cfg)
-            if result.status is SolveStatus.UNDEFINED:
-                computed: int | str | None = None
-            elif result.status is SolveStatus.OPTIMAL:
-                computed = result.value
-            else:
-                computed = "timeout"
-            if computed == "timeout":
-                status = "SKIPPED_TIMEOUT"
+            computed: int | str | None = result.value  # None when undefined
+            if result.status is SolveStatus.BOUNDS:
+                computed, status = "timeout", "SKIPPED_TIMEOUT"
             else:
                 status = "MATCH" if computed == expected else "MISMATCH"
             rows.append({

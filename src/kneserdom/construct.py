@@ -7,12 +7,16 @@ construction-by-verifier matrix.
 
 from __future__ import annotations
 
+import json
+from importlib import resources
+
 from .certify import verify_2_packing
 from .core import (
     KneserParams,
     ParameterError,
     Vertex,
     VertexFamily,
+    internal_check,
 )
 
 
@@ -96,8 +100,8 @@ def rho4_witness(r: int, t: int) -> VertexFamily:
     n = 3 * r - t
     block_a = t - 1
     block_b = r - 3 * (t - 1)
-    assert block_b >= 0
-    assert 6 * block_a + 4 * block_b <= n
+    internal_check(block_b >= 0 and 6 * block_a + 4 * block_b <= n,
+                   "rho4 blocks do not fit on [n]")
     params = KneserParams(n, r)
 
     pos = 1
@@ -159,7 +163,8 @@ def diagonal_lift(S: VertexFamily) -> VertexFamily:
 
 def _replace(v: Vertex, remove: set[int], add: set[int]) -> Vertex:
     elems = set(v.elements)
-    assert remove <= elems and not (add & elems)
+    internal_check(remove <= elems and not (add & elems),
+                   "rewrite removes an absent or adds a present element")
     return Vertex.from_elements(sorted((elems - remove) | add))
 
 
@@ -283,34 +288,10 @@ def normalize_packing(S: VertexFamily) -> VertexFamily:
 
 # --- the explicit packings of K(3r-3, r) for small r ---------------------
 
+# The recorded sets, keyed by r; the data file is their only source.
+_TABLE3_FILE = resources.files(__package__).joinpath("data", "table3.json")
 TABLE3_PACKINGS: dict[int, list[list[int]]] = {
-    4: [
-        [1, 2, 3, 5], [1, 2, 6, 9], [1, 2, 7, 8], [1, 3, 4, 6],
-        [1, 4, 5, 8], [1, 4, 7, 9], [2, 3, 4, 7], [2, 4, 5, 6],
-        [2, 4, 8, 9], [3, 5, 7, 9], [3, 6, 8, 9], [5, 6, 7, 8],
-    ],
-    5: [
-        [1, 2, 3, 4, 8], [1, 2, 5, 10, 11], [1, 2, 6, 9, 12],
-        [1, 3, 7, 9, 10], [1, 4, 5, 7, 12], [1, 6, 7, 8, 11],
-        [2, 3, 5, 6, 7], [2, 4, 7, 9, 11], [2, 7, 8, 10, 12],
-        [3, 4, 6, 10, 11], [3, 5, 9, 11, 12], [4, 5, 6, 8, 9],
-    ],
-    6: [
-        [1, 2, 3, 4, 5, 11], [1, 2, 7, 8, 9, 14], [1, 3, 6, 9, 10, 15],
-        [1, 5, 6, 12, 13, 14], [2, 4, 6, 7, 13, 15], [2, 5, 8, 10, 12, 15],
-        [3, 4, 8, 10, 13, 14], [3, 6, 7, 8, 11, 12], [4, 9, 11, 12, 14, 15],
-        [5, 7, 9, 10, 11, 13],
-    ],
-    7: [
-        [1, 2, 3, 4, 6, 11, 14], [1, 3, 5, 8, 16, 17, 18],
-        [2, 4, 5, 7, 12, 15, 17], [2, 8, 9, 12, 13, 14, 16],
-        [3, 7, 8, 9, 10, 11, 15], [4, 5, 6, 9, 10, 13, 18],
-    ],
-    8: [
-        [1, 2, 3, 4, 5, 6, 9, 18], [1, 2, 7, 11, 12, 14, 20, 21],
-        [3, 7, 8, 9, 13, 15, 16, 20], [4, 5, 10, 12, 13, 15, 17, 21],
-        [5, 6, 8, 10, 11, 14, 16, 19],
-    ],
+    int(r): sets for r, sets in json.loads(_TABLE3_FILE.read_bytes()).items()
 }
 
 

@@ -25,6 +25,17 @@ class DefinabilityError(ValueError):
     """The requested invariant is not defined for these parameters."""
 
 
+class InternalCheckError(RuntimeError):
+    """A correctness check inside the library failed: a bug, not bad input."""
+
+
+def internal_check(condition: bool, message: str) -> None:
+    """Raise InternalCheckError unless `condition`; unlike assert, it also
+    runs under python -O."""
+    if not condition:
+        raise InternalCheckError(message)
+
+
 DEFAULT_VERTEX_CEILING = 5_000_000
 _CEILING_ENV_VAR = "KNESERDOM_VERTEX_CEILING"
 

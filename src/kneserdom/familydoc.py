@@ -25,7 +25,8 @@ def parse_family_document(obj: Any) -> tuple[VertexFamily, dict]:
         if key not in obj:
             raise FamilyDocumentError(f"missing required field {key!r}")
     n, r, sets = obj["n"], obj["r"], obj["sets"]
-    if not isinstance(n, int) or not isinstance(r, int):
+    # type() rather than isinstance(): JSON true parses to a bool, an int
+    if type(n) is not int or type(r) is not int:
         raise FamilyDocumentError("fields 'n' and 'r' must be integers")
     try:
         params = KneserParams(n, r)
@@ -37,7 +38,7 @@ def parse_family_document(obj: Any) -> tuple[VertexFamily, dict]:
     seen: dict[frozenset, int] = {}
     for idx, s in enumerate(sets):
         where = f"sets[{idx}]"
-        if not isinstance(s, list) or not all(isinstance(x, int) for x in s):
+        if not isinstance(s, list) or not all(type(x) is int for x in s):
             raise FamilyDocumentError(f"{where}: must be a list of integers")
         if len(s) != r:
             raise FamilyDocumentError(

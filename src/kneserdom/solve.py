@@ -8,8 +8,6 @@ ranges where counting the occurrences of elements in a normalized packing
 pins the value to 3 or 4.
 
 A slow brute-force oracle is provided for cross-validation at tiny sizes.
-The solvers run sequentially; `thread_count` is accepted for interface
-stability and does not affect results.
 """
 
 from __future__ import annotations
@@ -21,6 +19,8 @@ from itertools import combinations
 
 from .certify import (
     InvariantKind,
+    is_defined,
+    self_credit,
     verify,
     verify_2_packing,
 )
@@ -30,6 +30,7 @@ from .core import (
     ParameterError,
     Vertex,
     VertexFamily,
+    internal_check,
     popcount,
 )
 from .construct import disjoint_clique, rho3_witness, rho4_witness
@@ -37,27 +38,19 @@ from .construct import disjoint_clique, rho3_witness, rho4_witness
 
 class SolveStatus(Enum):
     OPTIMAL = "optimal"
-    LOWER_BOUND_ONLY = "lower_bound_only"
-    UPPER_BOUND_ONLY = "upper_bound_only"
     BOUNDS = "bounds"
     UNDEFINED = "undefined"
-    TIMEOUT = "timeout"
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     timeout: float = 60.0
-    thread_count: int = 1
     symmetry_breaking: bool = True
     vertex_ceiling: int | None = None
 
     def __post_init__(self) -> None:
-        if self.timeout <= 0:
+        if not self.timeout > 0:  # also rejects NaN, which never expires
             raise ParameterError(f"timeout must be positive, got {self.timeout}")
-        if self.thread_count < 1:
-            raise ParameterError(
-                f"thread_count must be positive, got {self.thread_count}"
-            )
 
 
 @dataclass
@@ -126,14 +119,6 @@ def threshold_prediction_by_n(n: int, r: int) -> int | None:
 # --- exact domination solver ---------------------------------------------
 
 
-def _undefined_kind(params: KneserParams, kind: InvariantKind, k: int) -> bool:
-    if kind is InvariantKind.K_TUPLE:
-        return params.min_degree < k - 1
-    if kind is InvariantKind.K_TUPLE_TOTAL:
-        return params.min_degree < k
-    return False
-
-
 def _neighbor_bitsets(masks: list[int]) -> list[int]:
     V = len(masks)
     nbr = [0] * V
@@ -149,37 +134,23 @@ def _neighbor_bitsets(masks: list[int]) -> list[int]:
 class _DominationSearch:
     """Branch and bound for a k-dominating / k-tuple (total) set of fixed size."""
 
-    def __init__(self, masks, nbr, kind, k, deadline):
-        self.masks = masks
+    def __init__(self, nbr, kind, k, deadline):
         self.nbr = nbr
-        self.kind = kind
         self.k = k
+        self.credit = self_credit(kind, k)
         self.deadline = deadline
-        self.V = len(masks)
+        self.V = len(nbr)
         self.nodes = 0
         degree = popcount(nbr[0]) if nbr else 0  # Kneser graphs are regular
-        if kind is InvariantKind.K_DOMINATION:
-            self.max_gain = degree + k  # neighbors, plus clearing its own demand
-        elif kind is InvariantKind.K_TUPLE:
-            self.max_gain = degree + 1
-        else:
-            self.max_gain = degree
+        self.max_gain = degree + self.credit
         # helpers[u]: vertices whose selection raises u's coverage
-        if kind is InvariantKind.K_TUPLE:
-            self.helpers = [nbr[u] | (1 << u) for u in range(self.V)]
-        elif kind is InvariantKind.K_DOMINATION:
-            self.helpers = [nbr[u] | (1 << u) for u in range(self.V)]
-        else:
-            self.helpers = list(nbr)
+        own = 1 if self.credit else 0
+        self.helpers = [nbr[u] | own << u for u in range(self.V)]
 
     def _gain(self, v: int) -> int:
         """Deficit units removed by selecting v in the current state."""
         d = self.deficits
-        gain = 0
-        if self.kind is InvariantKind.K_DOMINATION:
-            gain += d[v]
-        elif self.kind is InvariantKind.K_TUPLE and d[v] > 0:
-            gain += 1
+        gain = min(self.credit, d[v])
         for u in _bits(self.nbr[v]):
             if d[u] > 0:
                 gain += 1
@@ -202,7 +173,7 @@ class _DominationSearch:
                 gain = self._gain(v)
                 if gain > best_gain:
                     best_v, best_gain = v, gain
-            assert best_v >= 0, "greedy stalled on a defined instance"
+            internal_check(best_v >= 0, "greedy stalled on a defined instance")
             self._choose(best_v)
         return list(self.chosen)
 
@@ -219,17 +190,11 @@ class _DominationSearch:
     def _choose(self, v: int) -> list[tuple[int, int]]:
         log = []
         d = self.deficits
-        if d[v] > 0:
-            if self.kind is InvariantKind.K_DOMINATION:
-                take = d[v]  # membership satisfies the whole demand
-            elif self.kind is InvariantKind.K_TUPLE:
-                take = 1  # v lies in its own closed neighborhood
-            else:
-                take = 0
-            if take:
-                log.append((v, take))
-                d[v] -= take
-                self.total -= take
+        take = min(self.credit, d[v])
+        if take:
+            log.append((v, take))
+            d[v] -= take
+            self.total -= take
         for u in _bits(self.nbr[v]):
             if d[u] > 0:
                 log.append((u, 1))
@@ -259,19 +224,15 @@ class _DominationSearch:
         # branch on the vertex with the largest remaining demand
         target, best_d = -1, 0
         d = self.deficits
-        kdom = self.kind is InvariantKind.K_DOMINATION
         for u in range(self.V):
-            if d[u] > best_d and not (kdom and self.chosen_bits >> u & 1):
+            if d[u] > best_d:
                 target, best_d = u, d[u]
         avail = self.helpers[target] & ~self.chosen_bits & ~banned
-        if kdom:
-            can_self = bool(avail >> target & 1)
-            nbr_avail = popcount(avail & ~(1 << target))
-            if not can_self and nbr_avail < d[target]:
-                return None
-        else:
-            if popcount(avail) < d[target]:
-                return None
+        supply = popcount(avail & ~(1 << target))
+        if avail >> target & 1:
+            supply += min(self.credit, best_d)
+        if supply < best_d:
+            return None
         for v in _bits(avail):
             log = self._choose(v)
             result = self._dfs(remaining - 1, banned)
@@ -280,6 +241,10 @@ class _DominationSearch:
                 return result
             banned |= 1 << v
         return None
+
+
+def _to_family(params: KneserParams, masks: list[int], indices) -> VertexFamily:
+    return VertexFamily(params, tuple(sorted(Vertex(masks[i]) for i in indices)))
 
 
 def _seed_lower_bound(params: KneserParams, kind: InvariantKind, k: int) -> int:
@@ -307,7 +272,7 @@ def solve_domination(
         raise ParameterError(f"k must be positive, got {k}")
     cfg = cfg or SolverConfig()
     start = time.monotonic()
-    if _undefined_kind(params, kind, k):
+    if not is_defined(params, kind, k):
         return SolveResult(None, None, SolveStatus.UNDEFINED,
                            wall_time=time.monotonic() - start)
     params.check_capacity(cfg.vertex_ceiling)
@@ -315,18 +280,12 @@ def solve_domination(
     nbr = _neighbor_bitsets(masks)
     deadline = _Deadline(cfg.timeout)
 
-    search = _DominationSearch(masks, nbr, kind, k, deadline)
+    search = _DominationSearch(nbr, kind, k, deadline)
     greedy_idx = search.greedy()
     ub = len(greedy_idx)
     lb = _seed_lower_bound(params, kind, k)
-    assert lb <= ub, "theorem lower bound exceeds a constructed family"
-
-    def to_family(indices: list[int]) -> VertexFamily:
-        return VertexFamily(
-            params, tuple(sorted(Vertex(masks[i]) for i in indices))
-        )
-
-    best_witness = to_family(greedy_idx)
+    internal_check(lb <= ub, "theorem lower bound exceeds a constructed family")
+    best_witness = _to_family(params, masks, greedy_idx)
     if k >= 2 and params.n >= params.r * (k + params.r) and k + params.r < ub:
         # a clique of k+r disjoint blocks dominates in all three senses
         clique = disjoint_clique(k, params.r, params.n)
@@ -339,7 +298,7 @@ def solve_domination(
             found = search.find(s, cfg.symmetry_breaking)
             if found is not None:
                 value = s
-                best_witness = to_family(found)
+                best_witness = _to_family(params, masks, found)
                 break
             proven = s + 1
         else:
@@ -351,16 +310,16 @@ def solve_domination(
             nodes=search.nodes, wall_time=time.monotonic() - start,
         )
 
-    report = verify(best_witness, kind, k)
-    assert report.valid, "solver produced an invalid witness"
+    internal_check(verify(best_witness, kind, k).valid,
+                   "solver produced an invalid witness")
     if k >= 2 and params.n >= params.r * (k + params.r):
         # In this regime every optimal family is a clique of disjoint sets.
         members = best_witness.members
-        assert all(
-            u.mask & v.mask == 0
-            for i, u in enumerate(members)
-            for v in members[i + 1:]
-        ), "optimal witness is not a clique in the forced-clique regime"
+        internal_check(
+            all(u.mask & v.mask == 0
+                for i, u in enumerate(members) for v in members[i + 1:]),
+            "optimal witness is not a clique in the forced-clique regime",
+        )
     return SolveResult(
         value, best_witness, SolveStatus.OPTIMAL,
         lower_bound=value, upper_bound=value,
@@ -380,17 +339,15 @@ def brute_force_domination(
     """Enumerate families by cardinality and return the first valid one.
 
     Independent of the branch-and-bound path: validity is decided by a plain
-    double loop over vertices and members. Guarded to graphs with at most
-    40 vertices and optimum at most 8.
+    double loop over vertices and members, and definability by whether the
+    whole vertex set is valid, since validity is closed under supersets.
+    Guarded to graphs with at most 40 vertices and optimum at most 8.
     """
     if kind is InvariantKind.TWO_PACKING:
         raise ParameterError("the oracle covers domination kinds only")
     if k < 1:
         raise ParameterError(f"k must be positive, got {k}")
     start = time.monotonic()
-    if _undefined_kind(params, kind, k):
-        return SolveResult(None, None, SolveStatus.UNDEFINED,
-                           wall_time=time.monotonic() - start)
     V = params.vertex_count
     if V > _BRUTE_VERTEX_LIMIT:
         raise CapacityError(
@@ -411,6 +368,9 @@ def brute_force_domination(
                 return False
         return True
 
+    if not valid(tuple(range(V))):
+        return SolveResult(None, None, SolveStatus.UNDEFINED,
+                           wall_time=time.monotonic() - start)
     checked = 0
     for s in range(1, min(V, _BRUTE_SIZE_LIMIT) + 1):
         for combo in combinations(range(V), s):
@@ -524,7 +484,8 @@ def solve_rho2(params: KneserParams, cfg: SolverConfig | None = None) -> SolveRe
         predicted = threshold_predictions(r, t)
         if predicted is not None:
             witness = rho3_witness(r, t) if predicted == 3 else rho4_witness(r, t)
-            assert verify_2_packing(witness).valid
+            internal_check(verify_2_packing(witness).valid,
+                           "threshold witness is not a 2-packing")
             return SolveResult(
                 predicted, witness, SolveStatus.OPTIMAL,
                 lower_bound=predicted, upper_bound=predicted,
@@ -538,11 +499,6 @@ def solve_rho2(params: KneserParams, cfg: SolverConfig | None = None) -> SolveRe
     search = _CliqueSearch(compat, deadline)
     search.best = 1
     search.best_clique = [0]
-
-    def to_family(indices: list[int]) -> VertexFamily:
-        return VertexFamily(
-            params, tuple(sorted(Vertex(masks[i]) for i in indices))
-        )
 
     # Any maximum 2-packing maps, by vertex-transitivity, to one containing
     # the colex-first vertex, so search only extensions of it.
@@ -558,12 +514,14 @@ def solve_rho2(params: KneserParams, cfg: SolverConfig | None = None) -> SolveRe
             search.expand([], root_p)
     except _Timeout:
         return SolveResult(
-            None, to_family(search.best_clique), SolveStatus.BOUNDS,
+            None, _to_family(params, masks, search.best_clique),
+            SolveStatus.BOUNDS,
             lower_bound=search.best, upper_bound=max(upper, search.best),
             nodes=search.nodes, wall_time=time.monotonic() - start,
         )
-    witness = to_family(search.best_clique)
-    assert verify_2_packing(witness).valid
+    witness = _to_family(params, masks, search.best_clique)
+    internal_check(verify_2_packing(witness).valid,
+                   "clique search produced an invalid 2-packing")
     return SolveResult(
         search.best, witness, SolveStatus.OPTIMAL,
         lower_bound=search.best, upper_bound=search.best,

@@ -226,3 +226,47 @@ class TestDispatch:
         assert report.kind is InvariantKind.K_DOMINATION
         assert report.k == 2
         assert report.checked_count == 6  # 10 vertices minus 4 members
+
+
+class TestAgainstNeighborCounts:
+    """The streaming verifier against the definitions, vertex by vertex."""
+
+    @staticmethod
+    def _reference(D, kind, k):
+        """(first violating vertex in colex order, vertices checked)."""
+        checked = 0
+        for u in D.params.vertices():
+            if kind is InvariantKind.K_DOMINATION:
+                if u in D:
+                    continue
+                count = open_neighbor_count(u, D)
+            elif kind is InvariantKind.K_TUPLE:
+                count = closed_neighbor_count(u, D)
+            else:
+                count = open_neighbor_count(u, D)
+            checked += 1
+            if count < k:
+                return u, checked
+        return None, checked
+
+    @pytest.mark.parametrize("n,r,seed", [(6, 2, 707), (7, 3, 808)])
+    def test_random_families(self, n, r, seed):
+        rng = random.Random(seed)
+        p = KneserParams(n, r)
+        pool = list(p.vertices())
+        for _ in range(40):
+            D = VertexFamily(p, tuple(rng.sample(pool, rng.randint(1, len(pool)))))
+            for kind in (
+                InvariantKind.K_DOMINATION,
+                InvariantKind.K_TUPLE,
+                InvariantKind.K_TUPLE_TOTAL,
+            ):
+                for k in (1, 2, 3):
+                    report = verify(D, kind, k)
+                    violation, checked = self._reference(D, kind, k)
+                    assert report.valid == (violation is None)
+                    assert report.witness_violation == violation
+                    assert report.checked_count == checked
+                    if report.valid:
+                        exempt = kind is InvariantKind.K_DOMINATION
+                        assert checked == len(pool) - (len(D) if exempt else 0)

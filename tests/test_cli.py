@@ -106,6 +106,16 @@ class TestCompute:
         code, _, err = run(capsys, "compute", "--invariant", "bogus")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "flag", [["--threads", "2"], ["--seed", "1"], ["--attempt-open"]]
+    )
+    def test_removed_flags_are_usage_errors(self, capsys, flag):
+        code, _, _ = run(
+            capsys, "compute", "--invariant", "gamma_k",
+            "--n", "5", "--r", "2", "--k", "2", *flag,
+        )
+        assert code == EXIT_USAGE
+
     def test_no_subcommand_is_usage_error(self, capsys):
         assert run(capsys)[0] == EXIT_USAGE
 

@@ -62,6 +62,8 @@ class TestParse:
                 "sets[1]: duplicate of sets[0]",
             ),
             (doc(meta=[1]), "field 'meta' must be an object if present"),
+            (doc(r=True, sets=[[True]]), "fields 'n' and 'r' must be integers"),
+            (doc(sets=[[1, 2, True]]), "sets[0]: must be a list of integers"),
         ],
     )
     def test_precise_errors(self, broken, message):

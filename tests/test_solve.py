@@ -1,7 +1,14 @@
 """Tests for the exact solvers and the brute-force oracle."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import kneserdom
 from kneserdom import (
     CapacityError,
     InvariantKind,
@@ -161,12 +168,6 @@ class TestSolverOptions:
             without = dom(6, 2, kind, 2, symmetry_breaking=False)
             assert with_sym.value == without.value
 
-    def test_thread_count_does_not_change_results(self):
-        one = dom(7, 2, KD, 2, thread_count=1)
-        four = dom(7, 2, KD, 2, thread_count=4)
-        assert one.value == four.value
-        assert one.witness.members == four.witness.members
-
     def test_vertex_ceiling_enforced(self):
         with pytest.raises(CapacityError):
             dom(9, 2, KD, 1, vertex_ceiling=10)
@@ -175,7 +176,7 @@ class TestSolverOptions:
         with pytest.raises(ParameterError):
             SolverConfig(timeout=0)
         with pytest.raises(ParameterError):
-            SolverConfig(thread_count=0)
+            SolverConfig(timeout=float("nan"))  # would never expire
 
     def test_rho2_not_accepted(self):
         with pytest.raises(ParameterError):
@@ -244,3 +245,35 @@ class TestTimeout:
             assert verify_2_packing(res.witness).valid
         else:
             assert res.value == 66
+
+
+def test_witness_check_runs_under_optimize():
+    """An invalid witness raises even when python -O strips asserts."""
+    script = textwrap.dedent("""
+        if __debug__:
+            raise SystemExit("not running under -O")
+        import kneserdom.solve as solve
+        from kneserdom import (
+            InternalCheckError, InvariantKind, KneserParams, VerificationReport,
+        )
+
+        def always_invalid(family, kind, k=0, ceiling=None):
+            return VerificationReport(False, kind, k, family.members[0], 1)
+
+        solve.verify = always_invalid
+        try:
+            res = solve.solve_domination(
+                KneserParams(5, 2), InvariantKind.K_DOMINATION, 2)
+        except InternalCheckError as exc:
+            print("raised:", exc)
+        else:
+            print("returned", res.status.value, res.value)
+    """)
+    src = str(Path(kneserdom.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised: solver produced an invalid witness"
