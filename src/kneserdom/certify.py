@@ -15,7 +15,6 @@ from .core import (
     ParameterError,
     Vertex,
     VertexFamily,
-    distance_at_most_2,
     internal_check,
     popcount,
 )
@@ -120,28 +119,30 @@ def verify_k_tuple_total_dominating(
     return _verify_domination(D, InvariantKind.K_TUPLE_TOTAL, k, ceiling)
 
 
+def packing_intersections(params: KneserParams) -> range:
+    """The intersection sizes |u ∩ v| at which distinct vertices u, v of
+    K(n,r) are at distance >= 3.
+
+    Disjoint sets are adjacent, and u, v share a neighbor exactly when at
+    least r elements lie outside u ∪ v, that is n - (2r - |u ∩ v|) >= r.
+    So the sizes are 1 .. 3r-1-n, an empty range once n >= 3r-1.
+    """
+    return range(1, 3 * params.r - params.n)
+
+
 def verify_2_packing(S: VertexFamily) -> VerificationReport:
     """All distinct member pairs must be at distance >= 3.
 
-    For 2r+1 <= n <= 3r-2 this is the pairwise-intersection test
-    1 <= |u ∩ v| <= 3r-1-n; outside that band the general common-neighbor
-    test is used. Families with at most one member are trivially valid.
+    Families with at most one member are trivially valid.
     """
-    n, r = S.params.n, S.params.r
-    use_intersection_test = 2 * r + 1 <= n <= 3 * r - 2
-    cap = 3 * r - 1 - n
+    allowed = packing_intersections(S.params)
     members = S.members
     checked = 0
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
             u, v = members[i], members[j]
             checked += 1
-            if use_intersection_test:
-                inter = popcount(u.mask & v.mask)
-                bad = not (1 <= inter <= cap)
-            else:
-                bad = distance_at_most_2(u, v, S.params)
-            if bad:
+            if popcount(u.mask & v.mask) not in allowed:
                 return VerificationReport(
                     False, InvariantKind.TWO_PACKING, 0, (u, v), checked
                 )

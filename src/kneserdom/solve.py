@@ -1,7 +1,8 @@
 """Exact solvers for domination invariants and the 2-packing number.
 
-Domination numbers are computed by iterative deepening with branch and bound
-over vertex subsets; the 2-packing number by maximum-clique branch and bound
+Domination numbers close by the theorem bound and a disjoint clique when
+n >= r(k+r), and otherwise by iterative deepening with branch and bound over
+vertex subsets; the 2-packing number by maximum-clique branch and bound
 on the pairwise-compatibility graph (pairs at distance >= 3), with closed-form
 shortcuts where the value is forced: diameter-2 graphs, and the threshold
 ranges where counting the occurrences of elements in a normalized packing
@@ -20,6 +21,7 @@ from itertools import combinations
 from .certify import (
     InvariantKind,
     is_defined,
+    packing_intersections,
     self_credit,
     verify,
     verify_2_packing,
@@ -247,11 +249,21 @@ def _to_family(params: KneserParams, masks: list[int], indices) -> VertexFamily:
     return VertexFamily(params, tuple(sorted(Vertex(masks[i]) for i in indices)))
 
 
-def _seed_lower_bound(params: KneserParams, kind: InvariantKind, k: int) -> int:
+def _theorem_bound(params: KneserParams,
+                   k: int) -> tuple[int, VertexFamily | None]:
+    """Lower bound for every domination kind, and a clique attaining it.
+
+    For k, r >= 2 the paper proves gamma_k = k+r when n >= r(k+r), attained
+    by a clique, and gamma_k >= k+r+1 when k+2r <= n < r(k+r). Both bound
+    gamma_xk and gamma_xkt too, as gamma_k <= gamma_xk <= gamma_xkt.
+    K(n,1) is complete with gamma_k = k < k+r, so r = 1 gets no bound.
+    """
     n, r = params.n, params.r
-    if kind is InvariantKind.K_DOMINATION and k >= 2 and n >= k + 2 * r:
-        return k + r if n >= r * (k + r) else k + r + 1
-    return 1
+    if k < 2 or r < 2 or n < k + 2 * r:
+        return 1, None
+    if n >= r * (k + r):
+        return k + r, disjoint_clique(k, r, n)
+    return k + r + 1, None
 
 
 def solve_domination(
@@ -262,9 +274,11 @@ def solve_domination(
 ) -> SolveResult:
     """Exact k-domination / k-tuple / k-tuple total domination number.
 
-    Iterative deepening on the target size, branch and bound with coverage
-    deficits, first branch vertex fixed to [1..r] by vertex-transitivity.
-    On timeout the tightest (lower, upper) bracket found is returned.
+    For k, r >= 2 and n >= r(k+r) the theorem bound and its clique close the
+    instance before any graph is built. Otherwise iterative deepening from
+    the theorem bound, branch and bound with coverage deficits, first branch
+    vertex fixed to [1..r] by vertex-transitivity. On timeout the tightest
+    (lower, upper) bracket found is returned.
     """
     if kind is InvariantKind.TWO_PACKING:
         raise ParameterError("use solve_rho2 for the 2-packing number")
@@ -276,54 +290,47 @@ def solve_domination(
         return SolveResult(None, None, SolveStatus.UNDEFINED,
                            wall_time=time.monotonic() - start)
     params.check_capacity(cfg.vertex_ceiling)
-    masks = list(params.vertex_masks())
-    nbr = _neighbor_bitsets(masks)
-    deadline = _Deadline(cfg.timeout)
-
-    search = _DominationSearch(nbr, kind, k, deadline)
-    greedy_idx = search.greedy()
-    ub = len(greedy_idx)
-    lb = _seed_lower_bound(params, kind, k)
-    internal_check(lb <= ub, "theorem lower bound exceeds a constructed family")
-    best_witness = _to_family(params, masks, greedy_idx)
-    if k >= 2 and params.n >= params.r * (k + params.r) and k + params.r < ub:
-        # a clique of k+r disjoint blocks dominates in all three senses
-        clique = disjoint_clique(k, params.r, params.n)
-        ub = k + params.r
-        best_witness = clique
-    value = None
-    proven = lb
-    try:
-        for s in range(lb, ub):
-            found = search.find(s, cfg.symmetry_breaking)
-            if found is not None:
-                value = s
-                best_witness = _to_family(params, masks, found)
-                break
-            proven = s + 1
-        else:
-            value = ub
-    except _Timeout:
-        return SolveResult(
-            None, best_witness, SolveStatus.BOUNDS,
-            lower_bound=proven, upper_bound=ub,
-            nodes=search.nodes, wall_time=time.monotonic() - start,
-        )
-
-    internal_check(verify(best_witness, kind, k).valid,
-                   "solver produced an invalid witness")
-    if k >= 2 and params.n >= params.r * (k + params.r):
-        # In this regime every optimal family is a clique of disjoint sets.
-        members = best_witness.members
+    lb, witness = _theorem_bound(params, k)
+    nodes = 0
+    if witness is not None:
+        # the theorem's optimum is a clique: guard disjoint_clique's blocks
         internal_check(
             all(u.mask & v.mask == 0
-                for i, u in enumerate(members) for v in members[i + 1:]),
-            "optimal witness is not a clique in the forced-clique regime",
+                for u, v in combinations(witness.members, 2)),
+            "disjoint_clique returned a family that is not a clique",
         )
+    else:
+        masks = list(params.vertex_masks())
+        search = _DominationSearch(_neighbor_bitsets(masks), kind, k,
+                                   _Deadline(cfg.timeout))
+        best = search.greedy()
+        ub = len(best)
+        internal_check(lb <= ub,
+                       "theorem lower bound exceeds a constructed family")
+        proven = lb
+        try:
+            for s in range(lb, ub):
+                found = search.find(s, cfg.symmetry_breaking)
+                if found is not None:
+                    best = found
+                    break
+                proven = s + 1
+        except _Timeout:
+            return SolveResult(
+                None, _to_family(params, masks, best), SolveStatus.BOUNDS,
+                lower_bound=proven, upper_bound=ub,
+                nodes=search.nodes, wall_time=time.monotonic() - start,
+            )
+        witness = _to_family(params, masks, best)
+        nodes = search.nodes
+
+    internal_check(verify(witness, kind, k, cfg.vertex_ceiling).valid,
+                   "solver produced an invalid witness")
+    value = len(witness)
     return SolveResult(
-        value, best_witness, SolveStatus.OPTIMAL,
+        value, witness, SolveStatus.OPTIMAL,
         lower_bound=value, upper_bound=value,
-        nodes=search.nodes, wall_time=time.monotonic() - start,
+        nodes=nodes, wall_time=time.monotonic() - start,
     )
 
 
@@ -394,21 +401,13 @@ def brute_force_domination(
 
 def _compat_bitsets(params: KneserParams, masks: list[int]) -> list[int]:
     """Adjacency of the distance->=3 compatibility graph over the vertex list."""
-    n, r = params.n, params.r
+    allowed = packing_intersections(params)
     V = len(masks)
     compat = [0] * V
-    banded = 2 * r + 1 <= n <= 3 * r - 2
-    cap = 3 * r - 1 - n
     for i in range(V):
         mi = masks[i]
         for j in range(i + 1, V):
-            inter = popcount(mi & masks[j])
-            if banded:
-                ok = 1 <= inter <= cap
-            else:
-                union = popcount(mi | masks[j])
-                ok = inter > 0 and n - union < r
-            if ok:
+            if popcount(mi & masks[j]) in allowed:
                 compat[i] |= 1 << j
                 compat[j] |= 1 << i
     return compat
@@ -425,21 +424,20 @@ class _CliqueSearch:
         self.best_clique: list[int] = []
 
     def color_order(self, p_mask: int) -> tuple[list[int], list[int]]:
-        """Greedy coloring: vertex order and matching color numbers (1-based)."""
+        """Class-by-class greedy coloring: vertex order and 1-based colors."""
         order: list[int] = []
         colors: list[int] = []
-        classes: list[int] = []
-        for v in _bits(p_mask):
-            for ci, cls in enumerate(classes):
-                if cls & self.compat[v] == 0:
-                    classes[ci] |= 1 << v
-                    break
-            else:
-                classes.append(1 << v)
-        for ci, cls in enumerate(classes, start=1):
-            for v in _bits(cls):
+        color = 0
+        while p_mask:
+            color += 1
+            q = p_mask
+            while q:
+                low = q & -q
+                v = low.bit_length() - 1
                 order.append(v)
-                colors.append(ci)
+                colors.append(color)
+                p_mask ^= low
+                q &= ~(self.compat[v] | low)
         return order, colors
 
     def expand(self, clique: list[int], p_mask: int) -> None:
@@ -502,16 +500,14 @@ def solve_rho2(params: KneserParams, cfg: SolverConfig | None = None) -> SolveRe
 
     # Any maximum 2-packing maps, by vertex-transitivity, to one containing
     # the colex-first vertex, so search only extensions of it.
-    root_p = compat[0] if cfg.symmetry_breaking else (1 << len(masks)) - 1
+    if cfg.symmetry_breaking:
+        root, root_p = [0], compat[0]
+    else:
+        root, root_p = [], (1 << len(masks)) - 1
     _, root_colors = search.color_order(root_p)
-    upper = (1 if cfg.symmetry_breaking else 0) + (
-        max(root_colors) if root_colors else 0
-    )
+    upper = len(root) + (root_colors[-1] if root_colors else 0)
     try:
-        if cfg.symmetry_breaking:
-            search.expand([0], root_p)
-        else:
-            search.expand([], root_p)
+        search.expand(root, root_p)
     except _Timeout:
         return SolveResult(
             None, _to_family(params, masks, search.best_clique),

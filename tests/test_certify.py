@@ -13,6 +13,7 @@ from kneserdom import (
     Vertex,
     VertexFamily,
     closed_neighbor_count,
+    distance_at_most_2,
     open_neighbor_count,
     verify,
     verify_2_packing,
@@ -190,18 +191,29 @@ class TestTwoPacking:
         assert not report.valid
 
     def test_intersection_band_agrees_with_general_test(self):
-        # same verdicts whether the banded shortcut applies or not
+        # the one intersection rule against the definition of distance, on
+        # graphs inside the band 2r+1 <= n <= 3r-2 (K(7,3), K(9,4)) and
+        # outside it (K(4,2), K(8,3), K(11,4))
         rng = random.Random(606)
-        p = KneserParams(7, 3)
-        pool = list(p.vertices())
-        for _ in range(40):
-            members = rng.sample(pool, rng.randint(2, 6))
-            S = VertexFamily(p, tuple(members))
-            expected = all(
-                1 <= u.intersection_size(v) <= 3 * 3 - 1 - 7
-                for u, v in combinations(members, 2)
-            )
-            assert verify_2_packing(S).valid == expected
+        verdicts = set()
+        for n, r in [(4, 2), (7, 3), (8, 3), (9, 4), (11, 4)]:
+            p = KneserParams(n, r)
+            pool = list(p.vertices())
+            for _ in range(40):
+                members = rng.sample(pool, rng.randint(2, min(6, len(pool))))
+                S = VertexFamily(p, tuple(members))
+                violation, checked = None, 0
+                for u, v in combinations(members, 2):
+                    checked += 1
+                    if distance_at_most_2(u, v, p):
+                        violation = (u, v)
+                        break
+                report = verify_2_packing(S)
+                assert report.valid == (violation is None), (n, r)
+                assert report.witness_violation == violation
+                assert report.checked_count == checked
+                verdicts.add(report.valid)
+        assert verdicts == {True, False}
 
     def test_mutated_recorded_packing_fails(self):
         # swap one element of the first recorded K(12,5) member

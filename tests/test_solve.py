@@ -118,12 +118,20 @@ class TestAsymptoticRegime:
     @pytest.mark.parametrize(
         "k,r,n", [(2, 2, 8), (2, 2, 9), (3, 2, 10), (2, 3, 15)]
     )
-    def test_clique_regime_value(self, k, r, n):
-        # n >= r(k+r): all three invariants equal k+r
+    def test_clique_regime_value(self, k, r, n, monkeypatch):
+        # n >= r(k+r): all three invariants equal k+r, closed by the theorem
+        # bound and the clique before any graph is built
         assert n >= r * (k + r)
+
+        def no_graph(masks):
+            raise AssertionError("graph built in the forced-clique regime")
+
+        monkeypatch.setattr(kneserdom.solve, "_neighbor_bitsets", no_graph)
         for kind in (KD, KT, KTT):
             res = dom(n, r, kind, k)
             assert res.value == k + r, (kind, res.value)
+            assert res.optimal
+            assert res.nodes == 0
 
     def test_clique_witness_shape(self):
         res = dom(10, 2, KTT, 3)
@@ -144,7 +152,7 @@ class TestOracleAgreement:
     # k = 3 only where the optimum stays inside the oracle's size guard
     @pytest.mark.parametrize(
         "n,k",
-        [(n, k) for n in (4, 5, 6, 7) for k in (1, 2)],
+        [(n, k) for n in (4, 5, 6, 7) for k in (1, 2)] + [(8, 2), (7, 3)],
     )
     @pytest.mark.parametrize("kind", [KD, KT, KTT])
     def test_small_k2_instances(self, n, kind, k):
@@ -155,6 +163,19 @@ class TestOracleAgreement:
         assert oracle.value == fast.value
         if oracle.status is SolveStatus.OPTIMAL:
             assert verify(fast.witness, kind, k).valid
+
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("kind", [KD, KT, KTT])
+    def test_complete_graph_instances(self, n, kind):
+        # K(n,1) is complete, outside the theorem's r >= 2: gamma_k and
+        # gamma_xk are k there, below the bound k+r
+        params = KneserParams(n, 1)
+        oracle = brute_force_domination(params, kind, 2)
+        fast = solve_domination(params, kind, 2)
+        assert oracle.status == fast.status
+        assert oracle.value == fast.value
+        if oracle.status is SolveStatus.OPTIMAL:
+            assert verify(fast.witness, kind, 2).valid
 
     def test_oracle_guard(self):
         with pytest.raises(CapacityError):
@@ -171,6 +192,13 @@ class TestSolverOptions:
     def test_vertex_ceiling_enforced(self):
         with pytest.raises(CapacityError):
             dom(9, 2, KD, 1, vertex_ceiling=10)
+
+    def test_configured_ceiling_overrides_environment(self, monkeypatch):
+        # the witness re-check must use the configured ceiling as well
+        monkeypatch.setenv("KNESERDOM_VERTEX_CEILING", "10")
+        res = dom(7, 2, KD, 2, vertex_ceiling=100)
+        assert res.status is SolveStatus.OPTIMAL
+        assert res.value == 5
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ParameterError):
