@@ -8,6 +8,12 @@ shortcuts where the value is forced: diameter-2 graphs, and the threshold
 ranges where counting the occurrences of elements in a normalized packing
 pins the value to 3 or 4.
 
+A solver result is the bracket [lower_bound, upper_bound] it proved, and its
+status and value follow from that bracket. Every witness a solver returns,
+whether the bracket closed or a deadline stopped the search, passes its
+verifier on the way out; the witness attains the bracket's upper bound for
+domination and its lower bound for the 2-packing number.
+
 A slow brute-force oracle is provided for cross-validation at tiny sizes.
 """
 
@@ -20,6 +26,7 @@ from itertools import combinations
 
 from .certify import (
     InvariantKind,
+    VerificationReport,
     is_defined,
     packing_intersections,
     self_credit,
@@ -53,21 +60,47 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not self.timeout > 0:  # also rejects NaN, which never expires
             raise ParameterError(f"timeout must be positive, got {self.timeout}")
+        if self.vertex_ceiling is not None and self.vertex_ceiling <= 0:
+            raise ParameterError(
+                f"vertex ceiling must be positive, got {self.vertex_ceiling}")
 
 
 @dataclass
 class SolveResult:
-    value: int | None
-    witness: VertexFamily | None
-    status: SolveStatus
-    lower_bound: int | None = None
-    upper_bound: int | None = None
+    """The bracket a solver proved, the witness it found, and its effort.
+
+    A lower bound of None marks an undefined invariant; a closed bracket is
+    the optimum; an open one is what a deadline left.
+    """
+
+    lower_bound: int | None
+    upper_bound: int | None
+    witness: VertexFamily | None = None
     nodes: int = 0
     wall_time: float = 0.0
 
     @property
+    def status(self) -> SolveStatus:
+        if self.lower_bound is None:
+            return SolveStatus.UNDEFINED
+        if self.lower_bound == self.upper_bound:
+            return SolveStatus.OPTIMAL
+        return SolveStatus.BOUNDS
+
+    @property
+    def value(self) -> int | None:
+        return self.lower_bound if self.optimal else None
+
+    @property
     def optimal(self) -> bool:
         return self.status is SolveStatus.OPTIMAL
+
+
+def _certified(witness: VertexFamily, report: VerificationReport, lb: int,
+               ub: int, nodes: int, start: float) -> SolveResult:
+    """The one exit of every solver result that carries a witness."""
+    internal_check(report.valid, "solver produced an invalid witness")
+    return SolveResult(lb, ub, witness, nodes, time.monotonic() - start)
 
 
 class _Timeout(Exception):
@@ -109,13 +142,12 @@ def threshold_predictions(r: int, t: int) -> int | None:
 
 
 def threshold_prediction_by_n(n: int, r: int) -> int | None:
-    """The same thresholds stated on n: 3 when (14/5)r-1 <= n <= 3r-2,
-    4 when (25/9)r-1 <= n < (14/5)r-1."""
-    if 14 * r - 5 <= 5 * n and n <= 3 * r - 2:
-        return 3
-    if 25 * r - 9 <= 9 * n and 5 * n < 14 * r - 5:
-        return 4
-    return None
+    """The same thresholds stated on n = 3r-t, or None outside the band
+    2r+1 <= n <= 3r-2: 3 when (14/5)r-1 <= n, 4 when (25/9)r-1 <= n <
+    (14/5)r-1."""
+    if not 2 * r + 1 <= n <= 3 * r - 2:
+        return None
+    return threshold_predictions(r, 3 * r - n)
 
 
 # --- exact domination solver ---------------------------------------------
@@ -277,8 +309,8 @@ def solve_domination(
     For k, r >= 2 and n >= r(k+r) the theorem bound and its clique close the
     instance before any graph is built. Otherwise iterative deepening from
     the theorem bound, branch and bound with coverage deficits, first branch
-    vertex fixed to [1..r] by vertex-transitivity. On timeout the tightest
-    (lower, upper) bracket found is returned.
+    vertex fixed to [1..r] by vertex-transitivity. On timeout the bracket
+    reached so far is returned, with the greedy family as its upper bound.
     """
     if kind is InvariantKind.TWO_PACKING:
         raise ParameterError("use solve_rho2 for the 2-packing number")
@@ -287,8 +319,7 @@ def solve_domination(
     cfg = cfg or SolverConfig()
     start = time.monotonic()
     if not is_defined(params, kind, k):
-        return SolveResult(None, None, SolveStatus.UNDEFINED,
-                           wall_time=time.monotonic() - start)
+        return SolveResult(None, None, wall_time=time.monotonic() - start)
     params.check_capacity(cfg.vertex_ceiling)
     lb, witness = _theorem_bound(params, k)
     nodes = 0
@@ -304,34 +335,21 @@ def solve_domination(
         search = _DominationSearch(_neighbor_bitsets(masks), kind, k,
                                    _Deadline(cfg.timeout))
         best = search.greedy()
-        ub = len(best)
-        internal_check(lb <= ub,
+        internal_check(lb <= len(best),
                        "theorem lower bound exceeds a constructed family")
-        proven = lb
         try:
-            for s in range(lb, ub):
+            for s in range(lb, len(best)):
                 found = search.find(s, cfg.symmetry_breaking)
                 if found is not None:
                     best = found
                     break
-                proven = s + 1
+                lb = s + 1
         except _Timeout:
-            return SolveResult(
-                None, _to_family(params, masks, best), SolveStatus.BOUNDS,
-                lower_bound=proven, upper_bound=ub,
-                nodes=search.nodes, wall_time=time.monotonic() - start,
-            )
+            pass
         witness = _to_family(params, masks, best)
         nodes = search.nodes
-
-    internal_check(verify(witness, kind, k, cfg.vertex_ceiling).valid,
-                   "solver produced an invalid witness")
-    value = len(witness)
-    return SolveResult(
-        value, witness, SolveStatus.OPTIMAL,
-        lower_bound=value, upper_bound=value,
-        nodes=nodes, wall_time=time.monotonic() - start,
-    )
+    return _certified(witness, verify(witness, kind, k, cfg.vertex_ceiling),
+                      lb, len(witness), nodes, start)
 
 
 # --- brute-force oracle ---------------------------------------------------
@@ -376,8 +394,7 @@ def brute_force_domination(
         return True
 
     if not valid(tuple(range(V))):
-        return SolveResult(None, None, SolveStatus.UNDEFINED,
-                           wall_time=time.monotonic() - start)
+        return SolveResult(None, None, wall_time=time.monotonic() - start)
     checked = 0
     for s in range(1, min(V, _BRUTE_SIZE_LIMIT) + 1):
         for combo in combinations(range(V), s):
@@ -386,11 +403,8 @@ def brute_force_domination(
                 witness = VertexFamily(
                     params, tuple(Vertex(masks[i]) for i in combo)
                 )
-                return SolveResult(
-                    s, witness, SolveStatus.OPTIMAL,
-                    lower_bound=s, upper_bound=s,
-                    nodes=checked, wall_time=time.monotonic() - start,
-                )
+                return SolveResult(s, s, witness, checked,
+                                   time.monotonic() - start)
     raise CapacityError(
         f"no family of size <= {_BRUTE_SIZE_LIMIT} found; outside oracle guard"
     )
@@ -420,8 +434,9 @@ class _CliqueSearch:
         self.compat = compat
         self.deadline = deadline
         self.nodes = 0
-        self.best = 0
-        self.best_clique: list[int] = []
+        # any single vertex is a 2-packing
+        self.best = 1
+        self.best_clique = [0]
 
     def color_order(self, p_mask: int) -> tuple[list[int], list[int]]:
         """Class-by-class greedy coloring: vertex order and 1-based colors."""
@@ -461,42 +476,34 @@ class _CliqueSearch:
 def solve_rho2(params: KneserParams, cfg: SolverConfig | None = None) -> SolveResult:
     """Exact 2-packing number of K(n,r).
 
-    For n >= 3r-1 the graph has diameter 2 and the answer is 1. Inside the
-    band 2r+1 <= n <= 3r-2 the occurrence-counting bound forces the value to
-    3 or 4 in the threshold ranges, with the explicit three- and four-vertex
-    witnesses; these instances close without search. Everything else runs
-    maximum-clique branch and bound on the compatibility graph.
+    When no intersection size puts two vertices at distance >= 3 (n >= 3r-1,
+    diameter 2) the answer is 1. Inside the band 2r+1 <= n <= 3r-2 the
+    occurrence-counting bound forces the value to 3 or 4 in the threshold
+    ranges, with the explicit three- and four-vertex witnesses; these
+    instances close without search. Everything else runs maximum-clique
+    branch and bound on the compatibility graph, bounded above by the greedy
+    coloring at the root. On timeout the bracket from the largest packing
+    found to that coloring bound is returned.
     """
     cfg = cfg or SolverConfig()
     start = time.monotonic()
     n, r = params.n, params.r
 
-    if n >= 3 * r - 1:
+    if not packing_intersections(params):
         witness = VertexFamily(params, (Vertex((1 << r) - 1),))
-        return SolveResult(1, witness, SolveStatus.OPTIMAL,
-                           lower_bound=1, upper_bound=1,
-                           wall_time=time.monotonic() - start)
+        return _certified(witness, verify_2_packing(witness), 1, 1, 0, start)
 
-    if 2 * r + 1 <= n <= 3 * r - 2:
+    predicted = threshold_prediction_by_n(n, r)
+    if predicted is not None:
         t = 3 * r - n
-        predicted = threshold_predictions(r, t)
-        if predicted is not None:
-            witness = rho3_witness(r, t) if predicted == 3 else rho4_witness(r, t)
-            internal_check(verify_2_packing(witness).valid,
-                           "threshold witness is not a 2-packing")
-            return SolveResult(
-                predicted, witness, SolveStatus.OPTIMAL,
-                lower_bound=predicted, upper_bound=predicted,
-                wall_time=time.monotonic() - start,
-            )
+        witness = rho3_witness(r, t) if predicted == 3 else rho4_witness(r, t)
+        return _certified(witness, verify_2_packing(witness),
+                          predicted, predicted, 0, start)
 
     params.check_capacity(cfg.vertex_ceiling)
     masks = list(params.vertex_masks())
     compat = _compat_bitsets(params, masks)
-    deadline = _Deadline(cfg.timeout)
-    search = _CliqueSearch(compat, deadline)
-    search.best = 1
-    search.best_clique = [0]
+    search = _CliqueSearch(compat, _Deadline(cfg.timeout))
 
     # Any maximum 2-packing maps, by vertex-transitivity, to one containing
     # the colex-first vertex, so search only extensions of it.
@@ -508,18 +515,9 @@ def solve_rho2(params: KneserParams, cfg: SolverConfig | None = None) -> SolveRe
     upper = len(root) + (root_colors[-1] if root_colors else 0)
     try:
         search.expand(root, root_p)
+        upper = search.best  # the search is exhaustive
     except _Timeout:
-        return SolveResult(
-            None, _to_family(params, masks, search.best_clique),
-            SolveStatus.BOUNDS,
-            lower_bound=search.best, upper_bound=max(upper, search.best),
-            nodes=search.nodes, wall_time=time.monotonic() - start,
-        )
+        pass
     witness = _to_family(params, masks, search.best_clique)
-    internal_check(verify_2_packing(witness).valid,
-                   "clique search produced an invalid 2-packing")
-    return SolveResult(
-        search.best, witness, SolveStatus.OPTIMAL,
-        lower_bound=search.best, upper_bound=search.best,
-        nodes=search.nodes, wall_time=time.monotonic() - start,
-    )
+    return _certified(witness, verify_2_packing(witness), search.best, upper,
+                      search.nodes, start)

@@ -71,12 +71,10 @@ class TestCompute:
     def test_timeout_exit_code(self, capsys):
         code, out, _ = run(
             capsys, "compute", "--invariant", "rho2",
-            "--n", "11", "--r", "5", "--timeout", "0.05",
+            "--n", "11", "--r", "5", "--timeout", "1e-9",
         )
-        if code == EXIT_TIMEOUT:
-            assert "status: bounds" in out
-        else:  # closed despite the tiny budget
-            assert code == EXIT_OK
+        assert code == EXIT_TIMEOUT
+        assert "status: bounds" in out
 
     def test_missing_k_fails(self, capsys):
         code, _, err = run(
@@ -101,6 +99,17 @@ class TestCompute:
         )
         assert code == EXIT_FAIL
         assert "exceeding the ceiling" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["gamma_k", "--n", "7", "--r", "2", "--k", "2"],
+        ["rho2", "--n", "8", "--r", "3"],
+    ])
+    @pytest.mark.parametrize("ceiling", ["0", "-5"])
+    def test_vertex_ceiling_must_be_positive(self, capsys, argv, ceiling):
+        code, _, err = run(capsys, "compute", "--invariant", *argv,
+                           f"--vertex-ceiling={ceiling}")
+        assert code == EXIT_FAIL
+        assert "vertex ceiling must be positive" in err
 
     def test_usage_error_exit_code(self, capsys):
         code, _, err = run(capsys, "compute", "--invariant", "bogus")
@@ -289,6 +298,13 @@ class TestReproduce:
         doc = json.loads(out)
         assert doc["passing"] is True
         assert len(doc["rows"]) == 5
+
+    def test_table3_short_packing_fails(self, capsys, monkeypatch):
+        # the expected size is the recorded one, not the data's own length
+        monkeypatch.setitem(TABLE3_PACKINGS, 6, TABLE3_PACKINGS[6][:-1])
+        code, out, _ = run(capsys, "reproduce", "--table", "3")
+        assert code == EXIT_FAIL
+        assert "table 3: FAIL" in out
 
     def test_bad_table_number(self, capsys):
         assert run(capsys, "reproduce", "--table", "9")[0] == EXIT_USAGE

@@ -11,11 +11,14 @@ import pytest
 import kneserdom
 from kneserdom import (
     CapacityError,
+    InternalCheckError,
     InvariantKind,
     KneserParams,
     ParameterError,
+    SolveResult,
     SolveStatus,
     SolverConfig,
+    VerificationReport,
     brute_force_domination,
     solve_domination,
     solve_rho2,
@@ -205,6 +208,10 @@ class TestSolverOptions:
             SolverConfig(timeout=0)
         with pytest.raises(ParameterError):
             SolverConfig(timeout=float("nan"))  # would never expire
+        with pytest.raises(ParameterError):
+            SolverConfig(vertex_ceiling=0)
+        with pytest.raises(ParameterError):
+            SolverConfig(vertex_ceiling=-5)
 
     def test_rho2_not_accepted(self):
         with pytest.raises(ParameterError):
@@ -257,22 +264,63 @@ class TestRho2:
 
 
 class TestTimeout:
+    """An expired budget stops at the first deadline check (every 512
+    domination nodes, every 256 clique nodes), so these brackets do not
+    depend on the speed of the machine."""
+
     def test_domination_timeout_returns_bracket(self):
-        res = dom(10, 3, KTT, 3, timeout=0.02)
-        if res.status is SolveStatus.BOUNDS:
-            assert res.value is None
-            assert res.lower_bound <= res.upper_bound
-            assert verify(res.witness, KTT, 3).valid
-        else:  # a fast machine may close it; then the answer must be exact
-            assert res.optimal
+        res = dom(10, 3, KTT, 3, timeout=1e-9)
+        assert res.status is SolveStatus.BOUNDS
+        assert res.value is None
+        assert (res.lower_bound, res.upper_bound, res.nodes) == (11, 16, 512)
+        assert len(res.witness) == res.upper_bound
+        assert verify(res.witness, KTT, 3).valid
 
     def test_rho2_timeout_returns_bracket(self):
-        res = solve_rho2(KneserParams(11, 5), SolverConfig(timeout=0.05))
-        if res.status is SolveStatus.BOUNDS:
-            assert res.lower_bound <= res.upper_bound
-            assert verify_2_packing(res.witness).valid
-        else:
-            assert res.value == 66
+        res = solve_rho2(KneserParams(11, 5), SolverConfig(timeout=1e-9))
+        assert res.status is SolveStatus.BOUNDS
+        assert res.value is None
+        assert (res.lower_bound, res.upper_bound, res.nodes) == (52, 121, 256)
+        assert len(res.witness) == res.lower_bound
+        assert verify_2_packing(res.witness).valid
+
+
+class TestResultStatus:
+    def test_status_follows_bracket(self):
+        open_bracket = SolveResult(3, 5)
+        assert open_bracket.status is SolveStatus.BOUNDS
+        assert open_bracket.value is None
+        closed = SolveResult(4, 4)
+        assert closed.status is SolveStatus.OPTIMAL
+        assert closed.value == 4 and closed.optimal
+        undefined = SolveResult(None, None)
+        assert undefined.status is SolveStatus.UNDEFINED
+        assert undefined.value is None
+
+
+def _always_invalid(family, kind=InvariantKind.TWO_PACKING, k=0, ceiling=None):
+    return VerificationReport(False, kind, k, family.members[0], 1)
+
+
+@pytest.mark.parametrize("solve", [
+    pytest.param(lambda: dom(8, 2, KD, 2), id="theorem-clique"),
+    pytest.param(lambda: dom(5, 2, KD, 2), id="domination-search"),
+    pytest.param(lambda: dom(8, 3, KD, 2, timeout=1e-9),
+                 id="domination-bracket"),
+    pytest.param(lambda: solve_rho2(KneserParams(8, 3)), id="diameter-two"),
+    pytest.param(lambda: solve_rho2(KneserParams(24, 9)), id="threshold"),
+    pytest.param(lambda: solve_rho2(KneserParams(7, 3)), id="clique-search"),
+    pytest.param(lambda: solve_rho2(KneserParams(11, 5),
+                                    SolverConfig(timeout=1e-9)),
+                 id="clique-bracket"),
+])
+def test_every_witness_exit_is_checked(monkeypatch, solve):
+    """Each solver return with a witness raises if its verifier rejects it."""
+    monkeypatch.setattr("kneserdom.solve.verify", _always_invalid)
+    monkeypatch.setattr("kneserdom.solve.verify_2_packing", _always_invalid)
+    with pytest.raises(InternalCheckError,
+                       match="solver produced an invalid witness"):
+        solve()
 
 
 def test_witness_check_runs_under_optimize():
