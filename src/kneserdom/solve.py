@@ -8,11 +8,18 @@ shortcuts where the value is forced: diameter-2 graphs, and the threshold
 ranges where counting the occurrences of elements in a normalized packing
 pins the value to 3 or 4.
 
-A solver result is the bracket [lower_bound, upper_bound] it proved, and its
-status and value follow from that bracket. Every witness a solver returns,
-whether the bracket closed or a deadline stopped the search, passes its
-verifier on the way out; the witness attains the bracket's upper bound for
-domination and its lower bound for the 2-packing number.
+With symmetry breaking both searches fix the colex-first vertex v0, as the
+symmetric group acts vertex-transitively, and branch at the next level on one
+vertex per orbit of the permutations fixing what is already chosen (orbital
+branching); the orbits come from intersection sizes with the fixed sets.
+
+A solver's budget counts from the start of the solve, graph build included,
+and is checked inside the search. A solver result is the bracket
+[lower_bound, upper_bound] it proved, and its status and value follow from
+that bracket. Every witness a solver returns, whether the bracket closed or
+a deadline stopped the search, passes its verifier on the way out; the
+witness attains the bracket's upper bound for domination and its lower bound
+for the 2-packing number.
 
 A slow brute-force oracle is provided for cross-validation at tiny sizes.
 """
@@ -108,8 +115,8 @@ class _Timeout(Exception):
 
 
 class _Deadline:
-    def __init__(self, seconds: float):
-        self.expires = time.monotonic() + seconds
+    def __init__(self, expires: float):
+        self.expires = expires
 
     def check(self) -> None:
         if time.monotonic() > self.expires:
@@ -121,6 +128,23 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _orbits(masks: list[int], a: int, b: int) -> list[int]:
+    """orbit[v]: the bitset of v's orbit under the permutations of [n] that
+    fix the sets a and b setwise.
+
+    Those permutations are the ones that map each of a&b, a-b, b-a and the
+    rest onto itself, so an r-set's orbit is fixed by how many elements it
+    takes from each part, which (|u&a|, |u&b|, |u&a&b|) and r determine.
+    With b = a the orbits are the classes of |u&a|.
+    """
+    keys = [(popcount(m & a), popcount(m & b), popcount(m & a & b))
+            for m in masks]
+    classes: dict[tuple[int, int, int], int] = {}
+    for v, key in enumerate(keys):
+        classes[key] = classes.get(key, 0) | 1 << v
+    return [classes[key] for key in keys]
 
 
 # --- threshold predictions (exact integer arithmetic) --------------------
@@ -168,8 +192,9 @@ def _neighbor_bitsets(masks: list[int]) -> list[int]:
 class _DominationSearch:
     """Branch and bound for a k-dominating / k-tuple (total) set of fixed size."""
 
-    def __init__(self, nbr, kind, k, deadline):
-        self.nbr = nbr
+    def __init__(self, masks, kind, k, deadline):
+        self.masks = masks
+        self.nbr = nbr = _neighbor_bitsets(masks)
         self.k = k
         self.credit = self_credit(kind, k)
         self.deadline = deadline
@@ -212,13 +237,20 @@ class _DominationSearch:
         return list(self.chosen)
 
     def find(self, size: int, symmetry: bool) -> list[int] | None:
-        """A valid family of exactly `size` vertices, or None if none exists."""
+        """A valid family of exactly `size` vertices, or None if none exists.
+
+        With symmetry breaking the family contains the colex-first vertex v0,
+        as the symmetric group acts vertex-transitively. The next level
+        branches over the helpers of a target t, and a failed branch on v
+        there excludes v's whole orbit under the permutations fixing v0 and
+        t (orbital branching): any family with a member in that orbit maps
+        to one containing v0 and v that avoids everything excluded before,
+        since those exclusions are unions of orbits too.
+        """
         self._reset()
         if symmetry and size >= 1:
-            # The symmetric group acts vertex-transitively, so some optimal
-            # family contains the colex-first vertex.
             self._choose(0)
-            return self._dfs(size - 1, banned=0)
+            return self._dfs(size - 1, banned=0, orbital=True)
         return self._dfs(size, banned=0)
 
     def _choose(self, v: int) -> list[tuple[int, int]]:
@@ -245,7 +277,8 @@ class _DominationSearch:
         self.chosen_bits &= ~(1 << v)
         self.chosen.pop()
 
-    def _dfs(self, remaining: int, banned: int) -> list[int] | None:
+    def _dfs(self, remaining: int, banned: int,
+             orbital: bool = False) -> list[int] | None:
         self.nodes += 1
         if self.nodes % 512 == 0:
             self.deadline.check()
@@ -267,13 +300,17 @@ class _DominationSearch:
             supply += min(self.credit, best_d)
         if supply < best_d:
             return None
+        orbit = (_orbits(self.masks, self.masks[0], self.masks[target])
+                 if orbital else None)
         for v in _bits(avail):
+            if banned >> v & 1:
+                continue  # in the orbit of a vertex already branched on
             log = self._choose(v)
             result = self._dfs(remaining - 1, banned)
             self._unchoose_log(v, log)
             if result is not None:
                 return result
-            banned |= 1 << v
+            banned |= orbit[v] if orbit else 1 << v
         return None
 
 
@@ -332,8 +369,8 @@ def solve_domination(
         )
     else:
         masks = list(params.vertex_masks())
-        search = _DominationSearch(_neighbor_bitsets(masks), kind, k,
-                                   _Deadline(cfg.timeout))
+        search = _DominationSearch(masks, kind, k,
+                                   _Deadline(start + cfg.timeout))
         best = search.greedy()
         internal_check(lb <= len(best),
                        "theorem lower bound exceeds a constructed family")
@@ -438,14 +475,26 @@ class _CliqueSearch:
         self.best = 1
         self.best_clique = [0]
 
-    def color_order(self, p_mask: int) -> tuple[list[int], list[int]]:
-        """Class-by-class greedy coloring: vertex order and 1-based colors."""
+    def color_order(self, p_mask: int,
+                    kmin: int = 1) -> tuple[list[int], list[int]]:
+        """Class-by-class greedy coloring: the vertices of color >= kmin in
+        coloring order, and their 1-based colors.
+
+        Every class is built, but the lower ones are not emitted: `expand`
+        stops at the first vertex whose color cannot beat the incumbent.
+        """
         order: list[int] = []
         colors: list[int] = []
         color = 0
         while p_mask:
             color += 1
             q = p_mask
+            if color < kmin:
+                while q:
+                    low = q & -q
+                    p_mask ^= low
+                    q &= ~(self.compat[low.bit_length() - 1] | low)
+                continue
             while q:
                 low = q & -q
                 v = low.bit_length() - 1
@@ -455,22 +504,28 @@ class _CliqueSearch:
                 q &= ~(self.compat[v] | low)
         return order, colors
 
-    def expand(self, clique: list[int], p_mask: int) -> None:
+    def expand(self, clique: list[int], p_mask: int,
+               orbit: list[int] | None = None) -> None:
+        """Extend `clique` by the candidates `p_mask`. With `orbit`, a branch
+        on v, once done, excludes v's whole orbit, not only v."""
         self.nodes += 1
         if self.nodes % 256 == 0:
             self.deadline.check()
         if len(clique) > self.best:
             self.best = len(clique)
             self.best_clique = list(clique)
-        order, colors = self.color_order(p_mask)
+        order, colors = self.color_order(p_mask, self.best - len(clique) + 1)
         for idx in range(len(order) - 1, -1, -1):
             v = order[idx]
             if len(clique) + colors[idx] <= self.best:
                 return
+            if not p_mask >> v & 1:
+                # excluded with an orbit; the colors still bound the rest
+                continue
             clique.append(v)
             self.expand(clique, p_mask & self.compat[v])
             clique.pop()
-            p_mask &= ~(1 << v)
+            p_mask &= ~orbit[v] if orbit else ~(1 << v)
 
 
 def solve_rho2(params: KneserParams, cfg: SolverConfig | None = None) -> SolveResult:
@@ -482,8 +537,12 @@ def solve_rho2(params: KneserParams, cfg: SolverConfig | None = None) -> SolveRe
     ranges, with the explicit three- and four-vertex witnesses; these
     instances close without search. Everything else runs maximum-clique
     branch and bound on the compatibility graph, bounded above by the greedy
-    coloring at the root. On timeout the bracket from the largest packing
-    found to that coloring bound is returned.
+    coloring at the root. With symmetry breaking the root is the clique
+    [v0], and its branch on a candidate v, once done, excludes every
+    candidate with the same intersection size with v0 as v: the
+    permutations fixing v0 map any packing through one of them to a packing
+    through v. On timeout the bracket from the largest packing found to that
+    coloring bound is returned.
     """
     cfg = cfg or SolverConfig()
     start = time.monotonic()
@@ -503,18 +562,19 @@ def solve_rho2(params: KneserParams, cfg: SolverConfig | None = None) -> SolveRe
     params.check_capacity(cfg.vertex_ceiling)
     masks = list(params.vertex_masks())
     compat = _compat_bitsets(params, masks)
-    search = _CliqueSearch(compat, _Deadline(cfg.timeout))
+    search = _CliqueSearch(compat, _Deadline(start + cfg.timeout))
 
     # Any maximum 2-packing maps, by vertex-transitivity, to one containing
     # the colex-first vertex, so search only extensions of it.
     if cfg.symmetry_breaking:
         root, root_p = [0], compat[0]
+        orbit = _orbits(masks, masks[0], masks[0])
     else:
-        root, root_p = [], (1 << len(masks)) - 1
+        root, root_p, orbit = [], (1 << len(masks)) - 1, None
     _, root_colors = search.color_order(root_p)
     upper = len(root) + (root_colors[-1] if root_colors else 0)
     try:
-        search.expand(root, root_p)
+        search.expand(root, root_p, orbit)
         upper = search.best  # the search is exhaustive
     except _Timeout:
         pass

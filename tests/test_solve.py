@@ -1,9 +1,11 @@
 """Tests for the exact solvers and the brute-force oracle."""
 
 import os
+import random
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -261,6 +263,85 @@ class TestRho2:
         a = solve_rho2(KneserParams(9, 4), SolverConfig(symmetry_breaking=True))
         b = solve_rho2(KneserParams(9, 4), SolverConfig(symmetry_breaking=False))
         assert a.value == b.value == 12
+        # the orbit rule cuts the search with symmetry breaking; without it
+        # the nodes are those of the plain search, which the color cut keeps
+        assert (a.nodes, b.nodes) == (13_164, 2_378_117)
+
+    @pytest.mark.parametrize("n,r,value", [(7, 3, 7), (10, 4, 5)])
+    def test_orbit_rule_keeps_value(self, n, r, value):
+        a = solve_rho2(KneserParams(n, r))
+        b = solve_rho2(KneserParams(n, r), SolverConfig(symmetry_breaking=False))
+        assert a.value == b.value == value
+
+
+@pytest.mark.parametrize("n,kind,k,nodes", [
+    (7, KD, 2, 26_518),
+    (7, KTT, 1, 28_431),
+    (8, KTT, 1, 45_300),
+])
+def test_orbit_rule_keeps_domination_value(n, kind, k, nodes):
+    """Orbital branching at the first free level finds the same optimum as
+    the search without symmetry breaking, in the pinned node count."""
+    a = dom(n, 3, kind, k)
+    b = dom(n, 3, kind, k, symmetry_breaking=False)
+    assert a.value == b.value
+    assert a.nodes == nodes
+
+
+def _preserving_permutation(n, a, b, rng):
+    """A random permutation of [n], as a list, that maps each of a&b, a-b,
+    b-a and the rest onto itself."""
+    perm = list(range(n))
+    for part in _parts(n, a, b):
+        perm_part = rng.sample(part, len(part))
+        for x, y in zip(part, perm_part):
+            perm[x] = y
+    return perm
+
+
+def _parts(n, a, b):
+    full = (1 << n) - 1
+    return [[x for x in range(n) if part >> x & 1]
+            for part in (a & b, a & ~b, b & ~a, full & ~(a | b))]
+
+
+def _apply(perm, mask):
+    return sum(1 << perm[x] for x in range(len(perm)) if mask >> x & 1)
+
+
+class TestOrbits:
+    """`solve._orbits` returns the orbits of the permutations fixing the sets
+    a and b: each class is closed under them, and each is one orbit."""
+
+    @pytest.mark.parametrize("n,r", [(7, 3), (9, 4), (11, 5)])
+    def test_classes_are_orbits(self, n, r):
+        rng = random.Random(1000 * n + r)
+        masks = list(KneserParams(n, r).vertex_masks())
+        index = {m: i for i, m in enumerate(masks)}
+        a = masks[0]
+        for t in [0] + rng.sample(range(1, len(masks)), 3):
+            b = masks[t]
+            orbit = kneserdom.solve._orbits(masks, a, b)
+            for _ in range(5):
+                perm = _preserving_permutation(n, a, b, rng)
+                for v, m in enumerate(masks):
+                    assert orbit[index[_apply(perm, m)]] == orbit[v]
+            # every member of a class is the image of its first member under
+            # a permutation that maps each part onto itself
+            for cls in set(orbit):
+                first = masks[(cls & -cls).bit_length() - 1]
+                for v, m in enumerate(masks):
+                    if not cls >> v & 1:
+                        continue
+                    perm = list(range(n))
+                    for part in _parts(n, a, b):
+                        # the part's elements of `first` go to those of m
+                        src = sorted(part, key=lambda x: not first >> x & 1)
+                        dst = sorted(part, key=lambda x: not m >> x & 1)
+                        for x, y in zip(src, dst):
+                            perm[x] = y
+                    assert _apply(perm, first) == m
+                    assert _apply(perm, a) == a and _apply(perm, b) == b
 
 
 class TestTimeout:
@@ -275,6 +356,21 @@ class TestTimeout:
         assert (res.lower_bound, res.upper_bound, res.nodes) == (11, 16, 512)
         assert len(res.witness) == res.upper_bound
         assert verify(res.witness, KTT, 3).valid
+
+    def test_budget_counts_the_graph_build(self, monkeypatch):
+        # the budget counts from the start of the solve, so a graph build
+        # that outlasts it stops the search at its first deadline check
+        build = kneserdom.solve._compat_bitsets
+
+        def slow_build(params, masks):
+            compat = build(params, masks)
+            time.sleep(0.1)
+            return compat
+
+        monkeypatch.setattr(kneserdom.solve, "_compat_bitsets", slow_build)
+        res = solve_rho2(KneserParams(11, 5), SolverConfig(timeout=0.05))
+        assert res.status is SolveStatus.BOUNDS
+        assert res.nodes == 256
 
     def test_rho2_timeout_returns_bracket(self):
         res = solve_rho2(KneserParams(11, 5), SolverConfig(timeout=1e-9))
