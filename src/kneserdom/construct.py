@@ -183,23 +183,25 @@ def _take(pool: list[int], count: int, x: int) -> list[int]:
 
 
 def _rewrite_step(members: list[Vertex], occ: tuple[int, ...], x: int) -> list[Vertex]:
-    """One occurrence-reduction rewrite around an element x with i_x >= 3."""
+    """One occurrence-reduction rewrite around an element x with
+    3 <= i_x <= |members|, for a family of 4 or 5 members."""
     size = len(members)
-    containers = [i for i, v in enumerate(members) if occ_has(v, x)]
-    others = [i for i in range(size) if i not in containers]
+    containers = [i for i, v in enumerate(members) if v.mask >> (x - 1) & 1]
     count = len(containers)
     singles = {i: _x1_elements(members[i], occ) for i in range(size)}
     new = list(members)
 
-    if size == 4 and count == 3:
-        i1, i2, i3 = containers
+    if count < size:
+        # Rotate x out of the first three containers; a fourth container,
+        # possible with five members, keeps x.
+        i1, i2, i3 = containers[:3]
         x1 = _take(singles[i1], 1, x)[0]
         x2 = _take(singles[i2], 1, x)[0]
         x3 = _take(singles[i3], 1, x)[0]
         new[i1] = _replace(members[i1], {x}, {x2})
         new[i2] = _replace(members[i2], {x}, {x3})
         new[i3] = _replace(members[i3], {x}, {x1})
-    elif size == 4 and count == 4:
+    elif size == 4:
         i1, i2, i3, i4 = containers
         s1 = _take(singles[i1], 2, x)
         s2 = _take(singles[i2], 2, x)
@@ -209,17 +211,7 @@ def _rewrite_step(members: list[Vertex], occ: tuple[int, ...], x: int) -> list[V
         new[i2] = _replace(members[i2], {x}, {s1[0]})
         new[i3] = _replace(members[i3], {x, s3[1]}, {s1[1], s2[0]})
         new[i4] = _replace(members[i4], {x, s4[1]}, {s2[1], s3[0]})
-    elif size == 5 and count in (3, 4):
-        i1, i2, i3 = containers[:3]
-        # The untouched pair: the fourth container (if any) may keep x, but
-        # the designated last member must avoid it.
-        x1 = _take(singles[i1], 1, x)[0]
-        x2 = _take(singles[i2], 1, x)[0]
-        x3 = _take(singles[i3], 1, x)[0]
-        new[i1] = _replace(members[i1], {x}, {x2})
-        new[i2] = _replace(members[i2], {x}, {x3})
-        new[i3] = _replace(members[i3], {x}, {x1})
-    elif size == 5 and count == 5:
+    else:
         i1, i2, i3, i4, i5 = containers
         s1 = _take(singles[i1], 3, x)
         s2 = _take(singles[i2], 3, x)
@@ -231,13 +223,7 @@ def _rewrite_step(members: list[Vertex], occ: tuple[int, ...], x: int) -> list[V
         new[i3] = _replace(members[i3], {x, s3[2]}, {s1[1], s2[0]})
         new[i4] = _replace(members[i4], {x, s4[1], s4[2]}, {s1[2], s2[1], s3[0]})
         new[i5] = _replace(members[i5], {x, s5[1], s5[2]}, {s2[2], s3[1], s4[0]})
-    else:  # pragma: no cover - guarded by the caller
-        raise NormalizationError(f"unexpected occurrence count {count}")
     return new
-
-
-def occ_has(v: Vertex, x: int) -> bool:
-    return bool(v.mask >> (x - 1) & 1)
 
 
 def normalize_packing(S: VertexFamily) -> VertexFamily:

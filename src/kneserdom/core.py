@@ -213,15 +213,6 @@ class VertexFamily:
     def member_masks(self) -> tuple[int, ...]:
         return tuple(v.mask for v in self.members)
 
-    def occurrence(self, x: int) -> int:
-        if not 1 <= x <= self.params.n:
-            raise ParameterError(f"element {x} outside [1..{self.params.n}]")
-        return self.occurrences[x - 1]
-
-    def canonical(self) -> "VertexFamily":
-        """The same family with members sorted in colex order."""
-        return VertexFamily(self.params, tuple(sorted(self.members)))
-
     def as_sets(self) -> list[list[int]]:
         return [list(v.elements) for v in self.members]
 

@@ -8,6 +8,10 @@ shortcuts where the value is forced: diameter-2 graphs, and the threshold
 ranges where counting the occurrences of elements in a normalized packing
 pins the value to 3 or 4.
 
+Both graphs relate two vertices by the size of their intersection: 0 for
+K(n,r) itself, `packing_intersections` for the compatibility graph. One
+bit-sliced build (`_relation_bitsets`) makes either from its set of sizes.
+
 With symmetry breaking both searches fix the colex-first vertex v0, as the
 symmetric group acts vertex-transitively, and branch at the next level on one
 vertex per orbit of the permutations fixing what is already chosen (orbital
@@ -27,6 +31,7 @@ A slow brute-force oracle is provided for cross-validation at tiny sizes.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -147,6 +152,40 @@ def _orbits(masks: list[int], a: int, b: int) -> list[int]:
     return [classes[key] for key in keys]
 
 
+def _relation_bitsets(masks: list[int], sizes: Iterable[int]) -> list[int]:
+    """related[i]: the bitset of the j with |masks[i] & masks[j]| in `sizes`;
+    sizes below r leave out i itself.
+
+    Bit-parallel (as BBMC): contains[x] holds the vertices containing element
+    x, and a bit-sliced counter adds the r of them belonging to one vertex u,
+    so bit j of slice k is binary digit k of |u & masks[j]| for every j at
+    once. Each allowed size then selects the bits whose digits spell it.
+    """
+    contains = [0] * max(masks).bit_length()
+    for v, m in enumerate(masks):
+        for x in _bits(m):
+            contains[x] |= 1 << v
+    full = (1 << len(masks)) - 1
+    depth = popcount(masks[0]).bit_length()
+    related = []
+    for m in masks:
+        count = [0] * depth
+        for x in _bits(m):
+            carry = contains[x]
+            for k in range(depth):
+                count[k], carry = count[k] ^ carry, count[k] & carry
+                if not carry:
+                    break
+        row = 0
+        for size in sizes:
+            equal = full
+            for k, digit in enumerate(count):
+                equal &= digit if size >> k & 1 else ~digit
+            row |= equal
+        related.append(row)
+    return related
+
+
 # --- threshold predictions (exact integer arithmetic) --------------------
 
 
@@ -177,24 +216,12 @@ def threshold_prediction_by_n(n: int, r: int) -> int | None:
 # --- exact domination solver ---------------------------------------------
 
 
-def _neighbor_bitsets(masks: list[int]) -> list[int]:
-    V = len(masks)
-    nbr = [0] * V
-    for i in range(V):
-        mi = masks[i]
-        for j in range(i + 1, V):
-            if mi & masks[j] == 0:
-                nbr[i] |= 1 << j
-                nbr[j] |= 1 << i
-    return nbr
-
-
 class _DominationSearch:
     """Branch and bound for a k-dominating / k-tuple (total) set of fixed size."""
 
     def __init__(self, masks, kind, k, deadline):
         self.masks = masks
-        self.nbr = nbr = _neighbor_bitsets(masks)
+        self.nbr = nbr = _relation_bitsets(masks, (0,))
         self.k = k
         self.credit = self_credit(kind, k)
         self.deadline = deadline
@@ -450,20 +477,6 @@ def brute_force_domination(
 # --- 2-packing number ------------------------------------------------------
 
 
-def _compat_bitsets(params: KneserParams, masks: list[int]) -> list[int]:
-    """Adjacency of the distance->=3 compatibility graph over the vertex list."""
-    allowed = packing_intersections(params)
-    V = len(masks)
-    compat = [0] * V
-    for i in range(V):
-        mi = masks[i]
-        for j in range(i + 1, V):
-            if popcount(mi & masks[j]) in allowed:
-                compat[i] |= 1 << j
-                compat[j] |= 1 << i
-    return compat
-
-
 class _CliqueSearch:
     """Tomita-style maximum clique with greedy-coloring bounds."""
 
@@ -548,7 +561,8 @@ def solve_rho2(params: KneserParams, cfg: SolverConfig | None = None) -> SolveRe
     start = time.monotonic()
     n, r = params.n, params.r
 
-    if not packing_intersections(params):
+    sizes = packing_intersections(params)
+    if not sizes:
         witness = VertexFamily(params, (Vertex((1 << r) - 1),))
         return _certified(witness, verify_2_packing(witness), 1, 1, 0, start)
 
@@ -561,7 +575,7 @@ def solve_rho2(params: KneserParams, cfg: SolverConfig | None = None) -> SolveRe
 
     params.check_capacity(cfg.vertex_ceiling)
     masks = list(params.vertex_masks())
-    compat = _compat_bitsets(params, masks)
+    compat = _relation_bitsets(masks, sizes)
     search = _CliqueSearch(compat, _Deadline(start + cfg.timeout))
 
     # Any maximum 2-packing maps, by vertex-transitivity, to one containing

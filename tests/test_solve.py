@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,7 @@ from kneserdom import (
     verify,
     verify_2_packing,
 )
+from kneserdom.certify import packing_intersections
 
 KD = InvariantKind.K_DOMINATION
 KT = InvariantKind.K_TUPLE
@@ -128,10 +130,10 @@ class TestAsymptoticRegime:
         # bound and the clique before any graph is built
         assert n >= r * (k + r)
 
-        def no_graph(masks):
+        def no_graph(masks, sizes):
             raise AssertionError("graph built in the forced-clique regime")
 
-        monkeypatch.setattr(kneserdom.solve, "_neighbor_bitsets", no_graph)
+        monkeypatch.setattr(kneserdom.solve, "_relation_bitsets", no_graph)
         for kind in (KD, KT, KTT):
             res = dom(n, r, kind, k)
             assert res.value == k + r, (kind, res.value)
@@ -259,6 +261,17 @@ class TestRho2:
         assert res.nodes == 0
         assert verify_2_packing(res.witness).valid
 
+    @pytest.mark.parametrize("n,r,value", [(8, 3, 1), (24, 9, 4), (13, 5, 3)])
+    def test_shortcuts_build_no_graph(self, n, r, value, monkeypatch):
+        # diameter 2 (K(8,3)) and the threshold ranges close without search
+        def no_graph(masks, sizes):
+            raise AssertionError("graph built for a forced 2-packing number")
+
+        monkeypatch.setattr(kneserdom.solve, "_relation_bitsets", no_graph)
+        res = solve_rho2(KneserParams(n, r))
+        assert res.status is SolveStatus.OPTIMAL
+        assert (res.value, res.nodes) == (value, 0)
+
     def test_search_agrees_without_symmetry(self):
         a = solve_rho2(KneserParams(9, 4), SolverConfig(symmetry_breaking=True))
         b = solve_rho2(KneserParams(9, 4), SolverConfig(symmetry_breaking=False))
@@ -344,6 +357,28 @@ class TestOrbits:
                     assert _apply(perm, a) == a and _apply(perm, b) == b
 
 
+class TestRelationBitsets:
+    """`solve._relation_bitsets` relates exactly the pairs whose intersection
+    size is allowed, as a plain double loop over the pairs does."""
+
+    @pytest.mark.parametrize("n,r", [(7, 3), (8, 3), (9, 4), (10, 4), (11, 5)])
+    def test_matches_pairwise_reference(self, n, r):
+        params = KneserParams(n, r)
+        masks = list(params.vertex_masks())
+        size_sets = [(0,), packing_intersections(params)]
+        if (n, r) in [(7, 3), (9, 4)]:
+            # every subset of the sizes below r: every pattern of the slices
+            size_sets += [tuple(c) for k in range(r + 1)
+                          for c in combinations(range(r), k)]
+        for sizes in size_sets:
+            reference = [
+                sum(1 << j for j, mj in enumerate(masks)
+                    if j != i and (mi & mj).bit_count() in sizes)
+                for i, mi in enumerate(masks)
+            ]
+            assert kneserdom.solve._relation_bitsets(masks, sizes) == reference
+
+
 class TestTimeout:
     """An expired budget stops at the first deadline check (every 512
     domination nodes, every 256 clique nodes), so these brackets do not
@@ -360,14 +395,14 @@ class TestTimeout:
     def test_budget_counts_the_graph_build(self, monkeypatch):
         # the budget counts from the start of the solve, so a graph build
         # that outlasts it stops the search at its first deadline check
-        build = kneserdom.solve._compat_bitsets
+        build = kneserdom.solve._relation_bitsets
 
-        def slow_build(params, masks):
-            compat = build(params, masks)
+        def slow_build(masks, sizes):
+            compat = build(masks, sizes)
             time.sleep(0.1)
             return compat
 
-        monkeypatch.setattr(kneserdom.solve, "_compat_bitsets", slow_build)
+        monkeypatch.setattr(kneserdom.solve, "_relation_bitsets", slow_build)
         res = solve_rho2(KneserParams(11, 5), SolverConfig(timeout=0.05))
         assert res.status is SolveStatus.BOUNDS
         assert res.nodes == 256

@@ -6,6 +6,18 @@ from pathlib import Path
 import kneserdom
 
 SOURCES = sorted(Path(kneserdom.__file__).resolve().parent.glob("*.py"))
+# The tests that may use a definition; not this file, whose allow-list below
+# names definitions without using them.
+TESTS = sorted(set(Path(__file__).resolve().parent.glob("*.py"))
+               - {Path(__file__).resolve()})
+
+# Definitions that a framework calls by name: argparse calls the parser's
+# error method.
+CALLED_BY_FRAMEWORK = {"_Parser.error"}
+
+
+def _trees(paths):
+    return [ast.parse(path.read_text(), str(path)) for path in paths]
 
 
 def test_no_assert_statements():
@@ -18,3 +30,43 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _definitions(body, prefix=""):
+    """(qualified name, name) of every function, method and class in `body`."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield prefix + node.name, node.name
+            yield from _definitions(node.body, f"{prefix}{node.name}.")
+
+
+def _references(tree):
+    """Every name a module uses: names, attributes, imported names and the
+    dotted parts of string constants, which monkeypatching refers by."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield from node.value.split(".")
+
+
+def test_every_definition_is_used():
+    """A function, method or class that nothing in the package or its tests
+    refers to is dead code."""
+    sources = _trees(SOURCES)
+    used = {name for tree in sources + _trees(TESTS)
+            for name in _references(tree)}
+    dead = [
+        f"{path.name}:{qualified}"
+        for path, tree in zip(SOURCES, sources)
+        for qualified, name in _definitions(tree.body)
+        if name not in used
+        and not (name.startswith("__") and name.endswith("__"))
+        and qualified not in CALLED_BY_FRAMEWORK
+    ]
+    assert dead == []
