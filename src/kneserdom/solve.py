@@ -2,7 +2,9 @@
 
 Domination numbers close by the theorem bound and a disjoint clique when
 n >= r(k+r), and otherwise by iterative deepening with branch and bound over
-vertex subsets; the 2-packing number by maximum-clique branch and bound
+vertex subsets, which cuts a node when the largest gains (deficit removed per
+vertex) of as many free vertices as may still be chosen cannot cover the
+deficit left; the 2-packing number by maximum-clique branch and bound
 on the pairwise-compatibility graph (pairs at distance >= 3), with closed-form
 shortcuts where the value is forced: diameter-2 graphs, and the threshold
 ranges where counting the occurrences of elements in a normalized packing
@@ -217,7 +219,12 @@ def threshold_prediction_by_n(n: int, r: int) -> int | None:
 
 
 class _DominationSearch:
-    """Branch and bound for a k-dominating / k-tuple (total) set of fixed size."""
+    """Branch and bound for a k-dominating / k-tuple (total) set of fixed size.
+
+    d[u] is u's deficit, the demand left after the chosen vertices, and
+    `needy` the bitset of the u with d[u] > 0. Choosing v removes
+    popcount(nbr[v] & needy) + min(credit, d[v]) deficit units, its gain.
+    """
 
     def __init__(self, masks, kind, k, deadline):
         self.masks = masks
@@ -233,34 +240,39 @@ class _DominationSearch:
         own = 1 if self.credit else 0
         self.helpers = [nbr[u] | own << u for u in range(self.V)]
 
-    def _gain(self, v: int) -> int:
-        """Deficit units removed by selecting v in the current state."""
-        d = self.deficits
-        gain = min(self.credit, d[v])
-        for u in _bits(self.nbr[v]):
-            if d[u] > 0:
-                gain += 1
-        return gain
+    def _gains(self, excluded: int) -> list[int]:
+        """gains[v]: v's gain in the current state, 0 for v in `excluded`."""
+        nbr, needy, d, credit = self.nbr, self.needy, self.deficits, self.credit
+        count = int.bit_count  # popcount, bound once for this hot loop
+        return [0 if excluded >> v & 1
+                else count(nbr[v] & needy) + (d[v] if d[v] < credit else credit)
+                for v in range(self.V)]
+
+    def _gain_bound(self, remaining: int, banned: int) -> int:
+        """The sum of the `remaining` largest gains of the free vertices (not
+        chosen, not banned): at least the deficit any `remaining` of them
+        remove together, since no gain rises as vertices are chosen."""
+        gains = self._gains(self.chosen_bits | banned)
+        gains.sort(reverse=True)
+        return sum(gains[:remaining])
 
     def _reset(self) -> None:
         self.deficits = [self.k] * self.V
         self.total = self.k * self.V
+        self.needy = (1 << self.V) - 1
         self.chosen_bits = 0
         self.chosen: list[int] = []
 
     def greedy(self) -> list[int]:
-        """Max-coverage greedy solution; used as the deepening upper bound."""
+        """Max-coverage greedy solution; used as the deepening upper bound.
+
+        Each step takes the first vertex of largest gain."""
         self._reset()
         while self.total > 0:
-            best_v, best_gain = -1, 0
-            for v in range(self.V):
-                if self.chosen_bits >> v & 1:
-                    continue
-                gain = self._gain(v)
-                if gain > best_gain:
-                    best_v, best_gain = v, gain
-            internal_check(best_v >= 0, "greedy stalled on a defined instance")
-            self._choose(best_v)
+            gains = self._gains(self.chosen_bits)
+            best_gain = max(gains)
+            internal_check(best_gain > 0, "greedy stalled on a defined instance")
+            self._choose(gains.index(best_gain))
         return list(self.chosen)
 
     def find(self, size: int, symmetry: bool) -> list[int] | None:
@@ -288,24 +300,39 @@ class _DominationSearch:
             log.append((v, take))
             d[v] -= take
             self.total -= take
-        for u in _bits(self.nbr[v]):
-            if d[u] > 0:
-                log.append((u, 1))
-                d[u] -= 1
-                self.total -= 1
+        cleared = 0 if d[v] else 1 << v
+        hit = self.nbr[v] & self.needy
+        for u in _bits(hit):
+            log.append((u, 1))
+            d[u] -= 1
+            if not d[u]:
+                cleared |= 1 << u
+        self.total -= popcount(hit)
+        self.needy &= ~cleared
         self.chosen_bits |= 1 << v
         self.chosen.append(v)
         return log
 
     def _unchoose_log(self, v: int, log: list[tuple[int, int]]) -> None:
+        d = self.deficits
         for u, amount in log:
-            self.deficits[u] += amount
+            if not d[u]:
+                self.needy |= 1 << u
+            d[u] += amount
             self.total += amount
         self.chosen_bits &= ~(1 << v)
         self.chosen.pop()
 
     def _dfs(self, remaining: int, banned: int,
              orbital: bool = False) -> list[int] | None:
+        """Extend the chosen vertices by at most `remaining` more, none of
+        them banned, to a valid family, or return None.
+
+        Sorted-gain bound: a node whose deficit total exceeds `_gain_bound`
+        is cut; remaining * max_gain, which bounds that sum, is tested first
+        as it costs O(1). A cut subtree holds no solution, so the search
+        finds the same first family as without the bound.
+        """
         self.nodes += 1
         if self.nodes % 512 == 0:
             self.deadline.check()
@@ -314,6 +341,8 @@ class _DominationSearch:
         if remaining == 0:
             return None
         if self.total > remaining * self.max_gain:
+            return None
+        if self._gain_bound(remaining, banned) < self.total:
             return None
         # branch on the vertex with the largest remaining demand
         target, best_d = -1, 0

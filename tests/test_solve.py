@@ -288,9 +288,9 @@ class TestRho2:
 
 
 @pytest.mark.parametrize("n,kind,k,nodes", [
-    (7, KD, 2, 26_518),
-    (7, KTT, 1, 28_431),
-    (8, KTT, 1, 45_300),
+    (7, KD, 2, 4_150),
+    (7, KTT, 1, 1_886),
+    (8, KTT, 1, 1_858),
 ])
 def test_orbit_rule_keeps_domination_value(n, kind, k, nodes):
     """Orbital branching at the first free level finds the same optimum as
@@ -299,6 +299,79 @@ def test_orbit_rule_keeps_domination_value(n, kind, k, nodes):
     b = dom(n, 3, kind, k, symmetry_breaking=False)
     assert a.value == b.value
     assert a.nodes == nodes
+
+
+def test_gamma2_k83_closes_at_12():
+    """gamma_2(K(8,3)) = 12: the search exhausts every size from the
+    theorem bound 6 up to 11, then finds a family of 12. The budget is far
+    above the run time, so the result does not depend on machine speed."""
+    res = dom(8, 3, KD, 2, timeout=600)
+    assert res.optimal and res.value == 12
+    assert res.nodes == 351_977
+    assert verify(res.witness, KD, 2).valid
+
+
+def _search(n, r, kind, k):
+    masks = list(KneserParams(n, r).vertex_masks())
+    search = kneserdom.solve._DominationSearch(
+        masks, kind, k, kneserdom.solve._Deadline(float("inf")))
+    search._reset()
+    return search
+
+
+def _state(search):
+    return (list(search.deficits), search.total, search.needy,
+            search.chosen_bits, list(search.chosen))
+
+
+class TestSortedGainBound:
+    """`_DominationSearch._gain_bound` is at least the deficit that the best
+    `remaining` free vertices remove together, found by trying them all, on
+    seeded random partial states; choosing and unchoosing keep `needy` equal
+    to the set of vertices with a deficit."""
+
+    @pytest.mark.parametrize("n,r", [(6, 2), (7, 3)])
+    @pytest.mark.parametrize("kind,k", [(KD, 2), (KT, 2), (KTT, 1)])
+    def test_bound_covers_every_choice(self, n, r, kind, k):
+        rng = random.Random(f"{n},{r},{kind.name},{k}")
+        search = _search(n, r, kind, k)
+        V = search.V
+        for _ in range(12):
+            search._reset()
+            for v in rng.sample(range(V), rng.randrange(5)):
+                search._choose(v)
+            banned = sum(1 << v for v in range(V)
+                         if not search.chosen_bits >> v & 1
+                         and rng.random() < 0.2)
+            free = [v for v in range(V)
+                    if not (search.chosen_bits | banned) >> v & 1]
+            remaining = rng.randrange(1, 4)
+            before = _state(search)
+            best = 0
+            for combo in combinations(free, remaining):
+                logs = [(v, search._choose(v)) for v in combo]
+                best = max(best, before[1] - search.total)
+                for v, log in reversed(logs):
+                    search._unchoose_log(v, log)
+                assert _state(search) == before
+            assert search._gain_bound(remaining, banned) >= best
+
+    @pytest.mark.parametrize("kind,k", [(KD, 2), (KT, 3), (KTT, 1)])
+    def test_needy_tracks_deficits(self, kind, k):
+        rng = random.Random(f"{kind.name},{k}")
+        search = _search(7, 3, kind, k)
+        stack = []
+        for _ in range(200):
+            if stack and (rng.random() < 0.4 or search.total == 0):
+                search._unchoose_log(*stack.pop())
+            else:
+                v = rng.choice([v for v in range(search.V)
+                                if not search.chosen_bits >> v & 1])
+                stack.append((v, search._choose(v)))
+            d = search.deficits
+            assert search.needy == sum(1 << u for u in range(search.V)
+                                       if d[u] > 0)
+            assert search.total == sum(d)
 
 
 def _preserving_permutation(n, a, b, rng):
