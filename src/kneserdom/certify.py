@@ -65,7 +65,7 @@ def is_defined(params: KneserParams, kind: InvariantKind, k: int) -> bool:
 
 
 def _verify_domination(
-    D: VertexFamily, kind: InvariantKind, k: int, ceiling: int | None
+    D: VertexFamily, kind: InvariantKind, k: int
 ) -> VerificationReport:
     """Every checked vertex u needs |N(u) ∩ D|, plus its self-credit if u is
     in D, to reach k; exempt members are not checked."""
@@ -75,7 +75,6 @@ def _verify_domination(
         raise DefinabilityError(
             f"{kind.value} with k={k} undefined on K({D.params.n},{D.params.r})"
         )
-    D.params.check_capacity(ceiling)
     exempt = SELF_CREDIT[kind] == EXEMPT
     credit = self_credit(kind, k)
     masks = D.member_masks()
@@ -99,24 +98,24 @@ def _verify_domination(
 
 
 def verify_k_dominating(
-    D: VertexFamily, k: int, ceiling: int | None = None
+    D: VertexFamily, k: int
 ) -> VerificationReport:
     """Every vertex outside D must have at least k neighbors in D."""
-    return _verify_domination(D, InvariantKind.K_DOMINATION, k, ceiling)
+    return _verify_domination(D, InvariantKind.K_DOMINATION, k)
 
 
 def verify_k_tuple_dominating(
-    D: VertexFamily, k: int, ceiling: int | None = None
+    D: VertexFamily, k: int
 ) -> VerificationReport:
     """Every closed neighborhood must contain at least k members of D."""
-    return _verify_domination(D, InvariantKind.K_TUPLE, k, ceiling)
+    return _verify_domination(D, InvariantKind.K_TUPLE, k)
 
 
 def verify_k_tuple_total_dominating(
-    D: VertexFamily, k: int, ceiling: int | None = None
+    D: VertexFamily, k: int
 ) -> VerificationReport:
     """Every open neighborhood must contain at least k members of D."""
-    return _verify_domination(D, InvariantKind.K_TUPLE_TOTAL, k, ceiling)
+    return _verify_domination(D, InvariantKind.K_TUPLE_TOTAL, k)
 
 
 def packing_intersections(params: KneserParams) -> range:
@@ -150,12 +149,9 @@ def verify_2_packing(S: VertexFamily) -> VerificationReport:
 
 
 def verify(
-    family: VertexFamily,
-    kind: InvariantKind,
-    k: int = 0,
-    ceiling: int | None = None,
+    family: VertexFamily, kind: InvariantKind, k: int = 0
 ) -> VerificationReport:
     """Dispatch to the verifier for the given invariant kind."""
     if kind is InvariantKind.TWO_PACKING:
         return verify_2_packing(family)
-    return _verify_domination(family, kind, k, ceiling)
+    return _verify_domination(family, kind, k)

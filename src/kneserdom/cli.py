@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from typing import Any
 
 from . import construct as cons
@@ -18,11 +19,12 @@ from .core import (
     DefinabilityError,
     KneserParams,
     ParameterError,
+    VertexFamily,
 )
 from .familydoc import (
     FamilyDocumentError,
     family_to_csv,
-    family_to_document,
+    family_to_json,
     load_family_document,
 )
 from .solve import (
@@ -37,14 +39,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_TIMEOUT = 2
 EXIT_USAGE = 64
-
-INVARIANT_NAMES = {
-    "gamma_k": InvariantKind.K_DOMINATION,
-    "gamma_xk": InvariantKind.K_TUPLE,
-    "gamma_xkt": InvariantKind.K_TUPLE_TOTAL,
-    "rho2": InvariantKind.TWO_PACKING,
-    "two_packing": InvariantKind.TWO_PACKING,
-}
 
 # Expected cells of the k=2 invariant table for K(n,2); None marks the
 # undefined k-tuple total cell, and the n>=8 row is spot-checked at 8 and 9.
@@ -80,8 +74,6 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--timeout", type=float, default=60.0,
                         help="solver budget in seconds")
     parser.add_argument("--no-symmetry-breaking", action="store_true")
-    parser.add_argument("--vertex-ceiling", type=int, default=None,
-                        help="override the enumeration vertex ceiling")
 
 
 def build_parser() -> _Parser:
@@ -91,7 +83,7 @@ def build_parser() -> _Parser:
 
     p_compute = sub.add_parser("compute", help="compute an invariant exactly")
     p_compute.add_argument("--invariant", required=True,
-                           choices=("gamma_k", "gamma_xk", "gamma_xkt", "rho2"))
+                           choices=[kind.value for kind in InvariantKind])
     p_compute.add_argument("--n", type=int, required=True)
     p_compute.add_argument("--r", type=int, required=True)
     p_compute.add_argument("--k", type=int, default=None)
@@ -100,7 +92,7 @@ def build_parser() -> _Parser:
 
     p_verify = sub.add_parser("verify", help="check a family document")
     p_verify.add_argument("--invariant", required=True,
-                          choices=tuple(INVARIANT_NAMES))
+                          choices=[kind.value for kind in InvariantKind])
     p_verify.add_argument("--k", type=int, default=None)
     p_verify.add_argument("--input", required=True,
                           help="path to a family document, or - for stdin")
@@ -135,7 +127,6 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
     return SolverConfig(
         timeout=args.timeout,
         symmetry_breaking=not args.no_symmetry_breaking,
-        vertex_ceiling=args.vertex_ceiling,
     )
 
 
@@ -172,7 +163,7 @@ def _result_document(args, result: SolveResult) -> dict:
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
-    kind = INVARIANT_NAMES[args.invariant]
+    kind = InvariantKind(args.invariant)
     cfg = _solver_config(args)
     params = KneserParams(args.n, args.r)
     if kind is InvariantKind.TWO_PACKING:
@@ -207,22 +198,24 @@ def _report_document(report: VerificationReport) -> dict:
     return doc
 
 
+def _read_family(path: str) -> VertexFamily:
+    """The family of the document at `path`; "-" reads it from stdin."""
+    with (nullcontext(sys.stdin) if path == "-" else open(path)) as fh:
+        family, _ = load_family_document(fh)
+    return family
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    kind = INVARIANT_NAMES[args.invariant]
+    kind = InvariantKind(args.invariant)
     if kind is not InvariantKind.TWO_PACKING and args.k is None:
         raise ParameterError(f"--k is required for {args.invariant}")
-    if args.input == "-":
-        family, _ = load_family_document(sys.stdin)
-    else:
-        with open(args.input) as fh:
-            family, _ = load_family_document(fh)
-    report = verify(family, kind, args.k or 0)
+    report = verify(_read_family(args.input), kind, args.k or 0)
     doc = _report_document(report)
     _emit(doc, args.format, [f"{doc['valid']}"])
     return EXIT_OK if report.valid else EXIT_FAIL
 
 
-def _require(args, *names: str) -> list[int]:
+def _require(args, *names: str) -> list:
     values = []
     for name in names:
         value = getattr(args, name)
@@ -230,14 +223,6 @@ def _require(args, *names: str) -> list[int]:
             raise ParameterError(f"--{name} is required for {args.name}")
         values.append(value)
     return values
-
-
-def _load_input_family(args):
-    if args.input is None:
-        raise ParameterError(f"--input is required for {args.name}")
-    with open(args.input) as fh:
-        family, _ = load_family_document(fh)
-    return family
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
@@ -264,14 +249,16 @@ def cmd_construct(args: argparse.Namespace) -> int:
         family = cons.table3_packing(r)
         check_kind, check_k = InvariantKind.TWO_PACKING, 0
     elif name == "doubling_lift":
-        (a,) = _require(args, "a")
-        family = cons.doubling_lift(_load_input_family(args), a)
+        a, path = _require(args, "a", "input")
+        family = cons.doubling_lift(_read_family(path), a)
         check_kind, check_k = InvariantKind.TWO_PACKING, 0
     elif name == "diagonal_lift":
-        family = cons.diagonal_lift(_load_input_family(args))
+        (path,) = _require(args, "input")
+        family = cons.diagonal_lift(_read_family(path))
         check_kind, check_k = InvariantKind.TWO_PACKING, 0
     else:  # normalize
-        family = cons.normalize_packing(_load_input_family(args))
+        (path,) = _require(args, "input")
+        family = cons.normalize_packing(_read_family(path))
         check_kind, check_k = InvariantKind.TWO_PACKING, 0
 
     if args.check:
@@ -280,10 +267,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
             print("construction failed its designated verifier", file=sys.stderr)
             return EXIT_FAIL
 
-    meta = {"construction": name}
-    doc = family_to_document(family, meta)
     if args.format == "json":
-        print(json.dumps(doc, indent=2))
+        print(family_to_json(family, {"construction": name}))
     elif args.format == "csv":
         print(family_to_csv(family))
     else:
@@ -297,7 +282,7 @@ def _run_table1(cfg: SolverConfig) -> list[dict]:
     for n, expected_cells in sorted(TABLE1_EXPECTED.items()):
         for label, expected in zip(("gamma_k", "gamma_xk", "gamma_xkt"),
                                    expected_cells):
-            kind = INVARIANT_NAMES[label]
+            kind = InvariantKind(label)
             result = solve_domination(KneserParams(n, 2), kind, 2, cfg)
             computed: int | str | None = result.value  # None when undefined
             if result.status is SolveStatus.BOUNDS:

@@ -86,8 +86,8 @@ class KneserParams:
     def ground_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def check_capacity(self, ceiling: int | None = None) -> None:
-        limit = default_vertex_ceiling() if ceiling is None else ceiling
+    def check_capacity(self) -> None:
+        limit = default_vertex_ceiling()
         if self.vertex_count > limit:
             raise CapacityError(
                 f"K({self.n},{self.r}) has {self.vertex_count} vertices, "
@@ -95,7 +95,12 @@ class KneserParams:
             )
 
     def vertex_masks(self) -> Iterator[int]:
-        """All r-subset masks in increasing mask order (= colex order)."""
+        """All r-subset masks in increasing mask order (= colex order).
+
+        Every enumeration of the vertices starts here, so this is where the
+        vertex ceiling is checked: on the first `next`, before any mask.
+        """
+        self.check_capacity()
         mask = (1 << self.r) - 1
         top = 1 << self.n
         while mask < top:

@@ -69,14 +69,10 @@ class SolveStatus(Enum):
 class SolverConfig:
     timeout: float = 60.0
     symmetry_breaking: bool = True
-    vertex_ceiling: int | None = None
 
     def __post_init__(self) -> None:
         if not self.timeout > 0:  # also rejects NaN, which never expires
             raise ParameterError(f"timeout must be positive, got {self.timeout}")
-        if self.vertex_ceiling is not None and self.vertex_ceiling <= 0:
-            raise ParameterError(
-                f"vertex ceiling must be positive, got {self.vertex_ceiling}")
 
 
 @dataclass
@@ -413,7 +409,6 @@ def solve_domination(
     start = time.monotonic()
     if not is_defined(params, kind, k):
         return SolveResult(None, None, wall_time=time.monotonic() - start)
-    params.check_capacity(cfg.vertex_ceiling)
     lb, witness = _theorem_bound(params, k)
     nodes = 0
     if witness is not None:
@@ -441,7 +436,7 @@ def solve_domination(
             pass
         witness = _to_family(params, masks, best)
         nodes = search.nodes
-    return _certified(witness, verify(witness, kind, k, cfg.vertex_ceiling),
+    return _certified(witness, verify(witness, kind, k),
                       lb, len(witness), nodes, start)
 
 
@@ -602,7 +597,6 @@ def solve_rho2(params: KneserParams, cfg: SolverConfig | None = None) -> SolveRe
         return _certified(witness, verify_2_packing(witness),
                           predicted, predicted, 0, start)
 
-    params.check_capacity(cfg.vertex_ceiling)
     masks = list(params.vertex_masks())
     compat = _relation_bitsets(masks, sizes)
     search = _CliqueSearch(compat, _Deadline(start + cfg.timeout))

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import io
 import json
 
 import pytest
@@ -92,31 +93,36 @@ class TestCompute:
         assert code == EXIT_FAIL
         assert "need n >= 2r" in err
 
-    def test_vertex_ceiling_flag(self, capsys):
+    def test_vertex_ceiling_flag(self, capsys, monkeypatch):
+        monkeypatch.setenv("KNESERDOM_VERTEX_CEILING", "10")
         code, _, err = run(
             capsys, "compute", "--invariant", "gamma_k",
-            "--n", "9", "--r", "2", "--k", "1", "--vertex-ceiling", "10",
+            "--n", "9", "--r", "2", "--k", "1",
         )
         assert code == EXIT_FAIL
         assert "exceeding the ceiling" in err
 
     @pytest.mark.parametrize("argv", [
         ["gamma_k", "--n", "7", "--r", "2", "--k", "2"],
-        ["rho2", "--n", "8", "--r", "3"],
+        # K(7,3) goes to the clique search; K(8,3) has diameter 2 and
+        # closes without enumerating, so it never reads the ceiling
+        ["rho2", "--n", "7", "--r", "3"],
     ])
     @pytest.mark.parametrize("ceiling", ["0", "-5"])
-    def test_vertex_ceiling_must_be_positive(self, capsys, argv, ceiling):
-        code, _, err = run(capsys, "compute", "--invariant", *argv,
-                           f"--vertex-ceiling={ceiling}")
+    def test_vertex_ceiling_must_be_positive(self, capsys, monkeypatch, argv,
+                                             ceiling):
+        monkeypatch.setenv("KNESERDOM_VERTEX_CEILING", ceiling)
+        code, _, err = run(capsys, "compute", "--invariant", *argv)
         assert code == EXIT_FAIL
-        assert "vertex ceiling must be positive" in err
+        assert "KNESERDOM_VERTEX_CEILING must be positive" in err
 
     def test_usage_error_exit_code(self, capsys):
         code, _, err = run(capsys, "compute", "--invariant", "bogus")
         assert code == EXIT_USAGE
 
     @pytest.mark.parametrize(
-        "flag", [["--threads", "2"], ["--seed", "1"], ["--attempt-open"]]
+        "flag", [["--threads", "2"], ["--seed", "1"], ["--attempt-open"],
+                 ["--vertex-ceiling", "10"]]
     )
     def test_removed_flags_are_usage_errors(self, capsys, flag):
         code, _, _ = run(
@@ -142,6 +148,8 @@ class TestVerify:
         assert "valid: True" in out
 
     def test_two_packing_alias(self, capsys, tmp_path):
+        # the invariant names are the InvariantKind values; rho2 is the only
+        # name of the 2-packing number
         path = write_doc(
             tmp_path, "pack.json",
             {"n": 9, "r": 4, "sets": TABLE3_PACKINGS[4]},
@@ -149,7 +157,7 @@ class TestVerify:
         code, _, _ = run(
             capsys, "verify", "--invariant", "two_packing", "--input", path,
         )
-        assert code == EXIT_OK
+        assert code == EXIT_USAGE
 
     def test_mutated_packing_fails_with_violation(self, capsys, tmp_path):
         sets = [list(s) for s in TABLE3_PACKINGS[5]]
@@ -263,6 +271,18 @@ class TestConstruct:
         doc = json.loads(out)
         assert (doc["n"], doc["r"]) == (10, 5)
         assert all(s[-1] == 10 for s in doc["sets"])
+
+    def test_stdin_input(self, capsys, monkeypatch, tmp_path):
+        base = {"n": 9, "r": 4, "sets": TABLE3_PACKINGS[4]}
+        argv = ["construct", "--name", "diagonal_lift", "--format", "json",
+                "--check", "--input"]
+        code, from_file, _ = run(capsys, *argv,
+                                 write_doc(tmp_path, "base.json", base))
+        assert code == EXIT_OK
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(base)))
+        code, from_stdin, err = run(capsys, *argv, "-")
+        assert code == EXIT_OK, err
+        assert from_stdin == from_file
 
     def test_missing_required_flag(self, capsys):
         code, _, err = run(capsys, "construct", "--name", "rho3", "--r", "5")

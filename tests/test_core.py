@@ -47,12 +47,13 @@ class TestKneserParams:
         with pytest.raises(ParameterError):
             K(n, r)
 
-    def test_capacity_guard(self):
+    def test_capacity_guard(self, monkeypatch):
         from kneserdom import CapacityError
 
+        monkeypatch.setenv("KNESERDOM_VERTEX_CEILING", str(10**6))
         with pytest.raises(CapacityError):
-            K(100, 50).check_capacity(10**6)
-        K(10, 3).check_capacity(10**6)
+            K(100, 50).check_capacity()
+        K(10, 3).check_capacity()
 
     def test_vertex_ceiling_env(self, monkeypatch):
         from kneserdom import CapacityError

@@ -21,7 +21,9 @@ from kneserdom import (
     SolveResult,
     SolveStatus,
     SolverConfig,
+    TABLE3_PACKINGS,
     VerificationReport,
+    VertexFamily,
     brute_force_domination,
     solve_domination,
     solve_rho2,
@@ -196,30 +198,57 @@ class TestSolverOptions:
             without = dom(6, 2, kind, 2, symmetry_breaking=False)
             assert with_sym.value == without.value
 
-    def test_vertex_ceiling_enforced(self):
-        with pytest.raises(CapacityError):
-            dom(9, 2, KD, 1, vertex_ceiling=10)
-
-    def test_configured_ceiling_overrides_environment(self, monkeypatch):
-        # the witness re-check must use the configured ceiling as well
+    def test_vertex_ceiling_enforced(self, monkeypatch):
         monkeypatch.setenv("KNESERDOM_VERTEX_CEILING", "10")
-        res = dom(7, 2, KD, 2, vertex_ceiling=100)
-        assert res.status is SolveStatus.OPTIMAL
-        assert res.value == 5
+        with pytest.raises(CapacityError):
+            dom(9, 2, KD, 1)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ParameterError):
             SolverConfig(timeout=0)
         with pytest.raises(ParameterError):
             SolverConfig(timeout=float("nan"))  # would never expire
-        with pytest.raises(ParameterError):
-            SolverConfig(vertex_ceiling=0)
-        with pytest.raises(ParameterError):
-            SolverConfig(vertex_ceiling=-5)
 
     def test_rho2_not_accepted(self):
         with pytest.raises(ParameterError):
             solve_domination(KneserParams(5, 2), InvariantKind.TWO_PACKING, 1)
+
+
+def _family(n, r, sets):
+    return VertexFamily.from_sets(KneserParams(n, r), sets)
+
+
+@pytest.mark.parametrize("call,answer", [
+    # every path that enumerates the vertices stops at the ceiling
+    pytest.param(lambda: dom(9, 2, KD, 1), None, id="domination-search"),
+    pytest.param(lambda: dom(8, 2, KD, 2), None, id="clique-closure"),
+    pytest.param(lambda: solve_rho2(KneserParams(7, 3)), None,
+                 id="rho2-search"),
+    pytest.param(
+        lambda: verify(_family(6, 2, [[1, 2], [3, 4], [5, 6]]), KD, 2),
+        None, id="domination-verifier"),
+    pytest.param(lambda: brute_force_domination(KneserParams(6, 2), KD, 1),
+                 None, id="oracle"),
+    # paths that never enumerate answer whatever the ceiling
+    pytest.param(lambda: solve_rho2(KneserParams(8, 3)).value, 1,
+                 id="rho2-diameter-two"),
+    pytest.param(lambda: solve_rho2(KneserParams(24, 9)).value, 4,
+                 id="rho2-threshold"),
+    pytest.param(
+        lambda: verify_2_packing(_family(9, 4, TABLE3_PACKINGS[4])).valid,
+        True, id="packing-verifier"),
+    pytest.param(lambda: dom(4, 2, KTT, 2).status, SolveStatus.UNDEFINED,
+                 id="undefined"),
+])
+def test_one_ceiling_at_every_entry_point(monkeypatch, call, answer):
+    """KNESERDOM_VERTEX_CEILING is the one ceiling, checked wherever the
+    vertices of K(n,r) are enumerated and nowhere else."""
+    monkeypatch.setenv("KNESERDOM_VERTEX_CEILING", "10")
+    if answer is None:
+        with pytest.raises(CapacityError, match="exceeding the ceiling of 10"):
+            call()
+    else:
+        assert call() == answer
 
 
 class TestRho2:
@@ -502,7 +531,7 @@ class TestResultStatus:
         assert undefined.value is None
 
 
-def _always_invalid(family, kind=InvariantKind.TWO_PACKING, k=0, ceiling=None):
+def _always_invalid(family, kind=InvariantKind.TWO_PACKING, k=0):
     return VerificationReport(False, kind, k, family.members[0], 1)
 
 
@@ -537,7 +566,7 @@ def test_witness_check_runs_under_optimize():
             InternalCheckError, InvariantKind, KneserParams, VerificationReport,
         )
 
-        def always_invalid(family, kind, k=0, ceiling=None):
+        def always_invalid(family, kind, k=0):
             return VerificationReport(False, kind, k, family.members[0], 1)
 
         solve.verify = always_invalid

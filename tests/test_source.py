@@ -70,3 +70,14 @@ def test_every_definition_is_used():
         and qualified not in CALLED_BY_FRAMEWORK
     ]
     assert dead == []
+
+
+def test_capacity_is_checked_only_in_core():
+    """The vertex ceiling is checked where the vertices are enumerated,
+    in KneserParams.vertex_masks; no other module checks it."""
+    outside = [
+        path.name
+        for path, tree in zip(SOURCES, _trees(SOURCES))
+        if path.name != "core.py" and "check_capacity" in _references(tree)
+    ]
+    assert outside == []
