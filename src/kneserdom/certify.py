@@ -97,27 +97,6 @@ def _verify_domination(
     return VerificationReport(True, kind, k, None, checked)
 
 
-def verify_k_dominating(
-    D: VertexFamily, k: int
-) -> VerificationReport:
-    """Every vertex outside D must have at least k neighbors in D."""
-    return _verify_domination(D, InvariantKind.K_DOMINATION, k)
-
-
-def verify_k_tuple_dominating(
-    D: VertexFamily, k: int
-) -> VerificationReport:
-    """Every closed neighborhood must contain at least k members of D."""
-    return _verify_domination(D, InvariantKind.K_TUPLE, k)
-
-
-def verify_k_tuple_total_dominating(
-    D: VertexFamily, k: int
-) -> VerificationReport:
-    """Every open neighborhood must contain at least k members of D."""
-    return _verify_domination(D, InvariantKind.K_TUPLE_TOTAL, k)
-
-
 def packing_intersections(params: KneserParams) -> range:
     """The intersection sizes |u ∩ v| at which distinct vertices u, v of
     K(n,r) are at distance >= 3.

@@ -1,7 +1,7 @@
 """Command-line front end: compute, verify, construct, reproduce.
 
-Exit codes: 0 success / valid / expected-undefined, 1 invalid result or
-error, 2 timeout (bounds only), 64 usage error.
+Exit codes: 0 success / valid / expected-undefined, 1 invalid result,
+mismatched row or error, 2 `compute` timeout (bounds only), 64 usage error.
 """
 
 from __future__ import annotations
@@ -70,12 +70,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         default="text")
 
 
-def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--timeout", type=float, default=60.0,
-                        help="solver budget in seconds")
-    parser.add_argument("--no-symmetry-breaking", action="store_true")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="kneserdom")
     sub = parser.add_subparsers(dest="command", required=True,
@@ -87,7 +81,8 @@ def build_parser() -> _Parser:
     p_compute.add_argument("--n", type=int, required=True)
     p_compute.add_argument("--r", type=int, required=True)
     p_compute.add_argument("--k", type=int, default=None)
-    _add_solver_flags(p_compute)
+    p_compute.add_argument("--timeout", type=float, default=60.0,
+                           help="solver budget in seconds")
     _add_common(p_compute)
 
     p_verify = sub.add_parser("verify", help="check a family document")
@@ -117,17 +112,9 @@ def build_parser() -> _Parser:
 
     p_reproduce = sub.add_parser("reproduce", help="recompute a recorded table")
     p_reproduce.add_argument("--table", type=int, required=True, choices=(1, 2, 3))
-    _add_solver_flags(p_reproduce)
     _add_common(p_reproduce)
 
     return parser
-
-
-def _solver_config(args: argparse.Namespace) -> SolverConfig:
-    return SolverConfig(
-        timeout=args.timeout,
-        symmetry_breaking=not args.no_symmetry_breaking,
-    )
 
 
 def _emit(doc: dict, fmt: str, csv_rows: list[str] | None = None) -> None:
@@ -162,15 +149,21 @@ def _result_document(args, result: SolveResult) -> dict:
     return doc
 
 
-def cmd_compute(args: argparse.Namespace) -> int:
+def _invariant_kind(args: argparse.Namespace) -> InvariantKind:
+    """The invariant named by --invariant; every kind but rho2 needs --k."""
     kind = InvariantKind(args.invariant)
-    cfg = _solver_config(args)
+    if kind is not InvariantKind.TWO_PACKING and args.k is None:
+        raise ParameterError(f"--k is required for {args.invariant}")
+    return kind
+
+
+def cmd_compute(args: argparse.Namespace) -> int:
+    cfg = SolverConfig(timeout=args.timeout)
     params = KneserParams(args.n, args.r)
+    kind = _invariant_kind(args)
     if kind is InvariantKind.TWO_PACKING:
         result = solve_rho2(params, cfg)
     else:
-        if args.k is None:
-            raise ParameterError(f"--k is required for {args.invariant}")
         result = solve_domination(params, kind, args.k, cfg)
     doc = _result_document(args, result)
     csv_rows = None
@@ -206,10 +199,8 @@ def _read_family(path: str) -> VertexFamily:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    kind = InvariantKind(args.invariant)
-    if kind is not InvariantKind.TWO_PACKING and args.k is None:
-        raise ParameterError(f"--k is required for {args.invariant}")
-    report = verify(_read_family(args.input), kind, args.k or 0)
+    report = verify(_read_family(args.input), _invariant_kind(args),
+                    args.k or 0)
     doc = _report_document(report)
     _emit(doc, args.format, [f"{doc['valid']}"])
     return EXIT_OK if report.valid else EXIT_FAIL
@@ -227,6 +218,7 @@ def _require(args, *names: str) -> list:
 
 def cmd_construct(args: argparse.Namespace) -> int:
     name = args.name
+    check_kind, check_k = InvariantKind.TWO_PACKING, 0
     if name == "disjoint_clique":
         k, r = _require(args, "k", "r")
         n = args.n if args.n is not None else r * (k + r)
@@ -239,27 +231,21 @@ def cmd_construct(args: argparse.Namespace) -> int:
     elif name == "rho3":
         r, t = _require(args, "r", "t")
         family = cons.rho3_witness(r, t)
-        check_kind, check_k = InvariantKind.TWO_PACKING, 0
     elif name == "rho4":
         r, t = _require(args, "r", "t")
         family = cons.rho4_witness(r, t)
-        check_kind, check_k = InvariantKind.TWO_PACKING, 0
     elif name == "table3":
         (r,) = _require(args, "r")
         family = cons.table3_packing(r)
-        check_kind, check_k = InvariantKind.TWO_PACKING, 0
     elif name == "doubling_lift":
         a, path = _require(args, "a", "input")
         family = cons.doubling_lift(_read_family(path), a)
-        check_kind, check_k = InvariantKind.TWO_PACKING, 0
     elif name == "diagonal_lift":
         (path,) = _require(args, "input")
         family = cons.diagonal_lift(_read_family(path))
-        check_kind, check_k = InvariantKind.TWO_PACKING, 0
     else:  # normalize
         (path,) = _require(args, "input")
         family = cons.normalize_packing(_read_family(path))
-        check_kind, check_k = InvariantKind.TWO_PACKING, 0
 
     if args.check:
         report = verify(family, check_kind, check_k)
@@ -277,28 +263,27 @@ def cmd_construct(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_table1(cfg: SolverConfig) -> list[dict]:
+def _run_table1() -> list[dict]:
     rows = []
     for n, expected_cells in sorted(TABLE1_EXPECTED.items()):
-        for label, expected in zip(("gamma_k", "gamma_xk", "gamma_xkt"),
-                                   expected_cells):
+        for label, cell in zip(("gamma_k", "gamma_xk", "gamma_xkt"),
+                               expected_cells):
             kind = InvariantKind(label)
-            result = solve_domination(KneserParams(n, 2), kind, 2, cfg)
-            computed: int | str | None = result.value  # None when undefined
-            if result.status is SolveStatus.BOUNDS:
-                computed, status = "timeout", "SKIPPED_TIMEOUT"
-            else:
-                status = "MATCH" if computed == expected else "MISMATCH"
+            result = solve_domination(KneserParams(n, 2), kind, 2)
+            # an open bracket has value None, which matches no cell
+            computed = ("undefined" if result.status is SolveStatus.UNDEFINED
+                        else result.value)
+            expected = "undefined" if cell is None else cell
             rows.append({
                 "parameters": f"{label}(K({n},2)), k=2",
-                "expected": "undefined" if expected is None else expected,
-                "computed": "undefined" if computed is None else computed,
-                "status": status,
+                "expected": expected,
+                "computed": computed,
+                "status": "MATCH" if computed == expected else "MISMATCH",
             })
     return rows
 
 
-def _run_table2(cfg: SolverConfig) -> list[dict]:
+def _run_table2() -> list[dict]:
     rows = []
     for r, bound in sorted(TABLE2_LOWER_BOUNDS.items()):
         family = cons.table3_packing(r)
@@ -312,17 +297,12 @@ def _run_table2(cfg: SolverConfig) -> list[dict]:
         })
     for r, expected in sorted(TABLE2_EXACT.items()):
         n = 3 * r - 3
-        result = solve_rho2(KneserParams(n, r), cfg)
-        if result.status is SolveStatus.BOUNDS:
-            status, computed = "SKIPPED_TIMEOUT", "timeout"
-        else:
-            computed = result.value
-            status = "MATCH" if computed == expected else "MISMATCH"
+        computed = solve_rho2(KneserParams(n, r)).value
         rows.append({
             "parameters": f"rho2(K({n},{r}))",
             "expected": f"= {expected}",
             "computed": computed,
-            "status": status,
+            "status": "MATCH" if computed == expected else "MISMATCH",
         })
     return rows
 
@@ -344,11 +324,10 @@ def _run_table3() -> list[dict]:
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    cfg = _solver_config(args)
     if args.table == 1:
-        rows = _run_table1(cfg)
+        rows = _run_table1()
     elif args.table == 2:
-        rows = _run_table2(cfg)
+        rows = _run_table2()
     else:
         rows = _run_table3()
     passing = all(row["status"] != "MISMATCH" for row in rows)

@@ -32,8 +32,6 @@ from kneserdom import (
     threshold_predictions,
     verify,
     verify_2_packing,
-    verify_k_dominating,
-    verify_k_tuple_total_dominating,
 )
 
 from helpers import block_packing, pairwise_intersections, perturb_packing
@@ -113,12 +111,12 @@ def test_ac05_construction_matrix():
     for k in (1, 2, 3):
         for r in (2, 3):
             D = disjoint_clique(k, r, r * (k + r))
-            assert verify_k_tuple_total_dominating(D, k).valid, (k, r)
+            assert verify(D, KTT, k).valid, (k, r)
             checked += 1
     for k in (2, 3):
         for r in (2, 3):
             D = gamma_kt_boundary(k, r)
-            assert verify_k_tuple_total_dominating(D, k).valid, (k, r)
+            assert verify(D, KTT, k).valid, (k, r)
             checked += 1
     for r in range(3, 13):
         for t in range(2, r):
@@ -194,12 +192,12 @@ def test_ac08_chain_and_monotonicity():
         witness = _dom(n, 2, KTT, 2).witness
         lifted = KneserParams(n + 1, 2)
         relabeled = type(witness)(lifted, witness.members)
-        assert verify_k_tuple_total_dominating(relabeled, 2).valid, n
+        assert verify(relabeled, KTT, 2).valid, n
     # gamma_k witnesses stay valid one ground element up for n >= 2(k+r)
     for n in (8, 9):
         witness = _dom(n, 2, KD, 2).witness
         relabeled = type(witness)(KneserParams(n + 1, 2), witness.members)
-        assert verify_k_dominating(relabeled, 2).valid, n
+        assert verify(relabeled, KD, 2).valid, n
     # the published non-monotone pattern of gamma_2 on K(n,2)
     g = {n: _dom(n, 2, KD, 2).value for n in (5, 6, 7, 8)}
     assert g[5] < g[6]

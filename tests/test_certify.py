@@ -17,10 +17,11 @@ from kneserdom import (
     open_neighbor_count,
     verify,
     verify_2_packing,
-    verify_k_dominating,
-    verify_k_tuple_dominating,
-    verify_k_tuple_total_dominating,
 )
+
+KD = InvariantKind.K_DOMINATION
+KT = InvariantKind.K_TUPLE
+KTT = InvariantKind.K_TUPLE_TOTAL
 
 
 def fam(n, r, *sets):
@@ -34,10 +35,10 @@ PETERSEN_GAMMA2 = fam(5, 2, [1, 2], [1, 3], [1, 4], [1, 5])
 
 class TestKDominating:
     def test_petersen_witness(self):
-        assert verify_k_dominating(PETERSEN_GAMMA2, 2).valid
+        assert verify(PETERSEN_GAMMA2, KD, 2).valid
 
     def test_petersen_too_small(self):
-        report = verify_k_dominating(fam(5, 2, [1, 2], [1, 3], [1, 4]), 2)
+        report = verify(fam(5, 2, [1, 2], [1, 3], [1, 4]), KD, 2)
         assert not report.valid
         assert report.witness_violation is not None
 
@@ -45,40 +46,40 @@ class TestKDominating:
         # a single vertex 2-dominates nothing, but D = V(G) is vacuously valid
         p = KneserParams(5, 2)
         everything = VertexFamily(p, tuple(p.vertices()))
-        report = verify_k_dominating(everything, 99)
+        report = verify(everything, KD, 99)
         assert report.valid
         assert report.checked_count == 0
 
     def test_first_violation_in_colex_order(self):
         # D = {{1,2}} in K(5,2): first non-member with no neighbor in D
-        report = verify_k_dominating(fam(5, 2, [1, 2]), 1)
+        report = verify(fam(5, 2, [1, 2]), KD, 1)
         assert not report.valid
         assert report.witness_violation == Vertex.from_elements((1, 3))
 
     def test_rejects_nonpositive_k(self):
         with pytest.raises(ParameterError):
-            verify_k_dominating(PETERSEN_GAMMA2, 0)
+            verify(PETERSEN_GAMMA2, KD, 0)
 
 
 class TestKTupleDominating:
     def test_petersen_witness(self):
         D = fam(5, 2, [1, 2], [1, 3], [1, 4], [1, 5], [2, 3], [4, 5])
-        assert verify_k_tuple_dominating(D, 2).valid
+        assert verify(D, KT, 2).valid
 
     def test_definability_guard(self):
         # K(6,3) has minimum degree 1, so 3-tuple domination is undefined
         with pytest.raises(DefinabilityError):
-            verify_k_tuple_dominating(fam(6, 3, [1, 2, 3]), 3)
+            verify(fam(6, 3, [1, 2, 3]), KT, 3)
 
     def test_members_count_themselves(self):
         # K(6,3): each vertex has exactly one neighbor, so D = V(G) is the
         # only 2-tuple dominating set
         p = KneserParams(6, 3)
         everything = VertexFamily(p, tuple(p.vertices()))
-        assert verify_k_tuple_dominating(everything, 2).valid
+        assert verify(everything, KT, 2).valid
 
     def test_detects_short_closed_neighborhood(self):
-        report = verify_k_tuple_dominating(fam(6, 3, [1, 2, 3], [4, 5, 6]), 2)
+        report = verify(fam(6, 3, [1, 2, 3], [4, 5, 6]), KT, 2)
         assert not report.valid
         u = report.witness_violation
         assert closed_neighbor_count(u, fam(6, 3, [1, 2, 3], [4, 5, 6])) < 2
@@ -87,22 +88,22 @@ class TestKTupleDominating:
 class TestKTupleTotalDominating:
     def test_definability_guard(self):
         with pytest.raises(DefinabilityError):
-            verify_k_tuple_total_dominating(fam(6, 3, [1, 2, 3]), 2)
+            verify(fam(6, 3, [1, 2, 3]), KTT, 2)
 
     def test_membership_never_counts(self):
         p = KneserParams(6, 3)
         everything = VertexFamily(p, tuple(p.vertices()))
         # open neighborhoods have exactly 1 vertex, so even D = V(G) passes
         # only for k = 1
-        assert verify_k_tuple_total_dominating(everything, 1).valid
+        assert verify(everything, KTT, 1).valid
 
     def test_clique_witness(self):
         D = fam(8, 2, [1, 2], [3, 4], [5, 6], [7, 8])
-        assert verify_k_tuple_total_dominating(D, 2).valid
+        assert verify(D, KTT, 2).valid
 
     def test_clique_minus_one_fails(self):
         D = fam(8, 2, [1, 2], [3, 4], [5, 6])
-        report = verify_k_tuple_total_dominating(D, 2)
+        report = verify(D, KTT, 2)
         assert not report.valid
         u = report.witness_violation
         assert open_neighbor_count(u, D) < 2
@@ -122,9 +123,9 @@ class TestNesting:
     def test_implication_chain(self, n, r, seed):
         for D in self._random_families(n, r, seed, 25):
             for k in (1, 2, 3):
-                total = verify_k_tuple_total_dominating(D, k).valid
-                tuple_ = verify_k_tuple_dominating(D, k).valid
-                plain = verify_k_dominating(D, k).valid
+                total = verify(D, KTT, k).valid
+                tuple_ = verify(D, KT, k).valid
+                plain = verify(D, KD, k).valid
                 if total:
                     assert tuple_
                 if tuple_:
@@ -133,12 +134,8 @@ class TestNesting:
     @pytest.mark.parametrize("n,r,seed", [(6, 2, 303), (7, 3, 404)])
     def test_monotone_in_k(self, n, r, seed):
         for D in self._random_families(n, r, seed, 25):
-            for verifier in (
-                verify_k_dominating,
-                verify_k_tuple_dominating,
-                verify_k_tuple_total_dominating,
-            ):
-                ok = [verifier(D, k).valid for k in (1, 2, 3)]
+            for kind in (KD, KT, KTT):
+                ok = [verify(D, kind, k).valid for k in (1, 2, 3)]
                 # once it fails for some k it fails for all larger k
                 for small, big in zip(ok, ok[1:]):
                     if big:
@@ -157,16 +154,16 @@ class TestNesting:
                 tuple(members) + tuple(rng.sample(extra, 2)),
             )
             for k in (1, 2):
-                if verify_k_dominating(D, k).valid:
-                    assert verify_k_dominating(bigger, k).valid
+                if verify(D, KD, k).valid:
+                    assert verify(bigger, KD, k).valid
 
     def test_order_independence(self):
         D = PETERSEN_GAMMA2
         shuffled = VertexFamily(D.params, tuple(reversed(D.members)))
         for k in (1, 2, 3):
             assert (
-                verify_k_dominating(D, k).valid
-                == verify_k_dominating(shuffled, k).valid
+                verify(D, KD, k).valid
+                == verify(shuffled, KD, k).valid
             )
 
 
@@ -234,7 +231,7 @@ class TestDispatch:
         assert verify(S, InvariantKind.TWO_PACKING).valid
 
     def test_report_invariants(self):
-        report = verify_k_dominating(PETERSEN_GAMMA2, 2)
+        report = verify(PETERSEN_GAMMA2, KD, 2)
         assert report.kind is InvariantKind.K_DOMINATION
         assert report.k == 2
         assert report.checked_count == 6  # 10 vertices minus 4 members

@@ -1,16 +1,18 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import argparse
 import io
 import json
 
 import pytest
 
-from kneserdom import TABLE3_PACKINGS
+from kneserdom import TABLE3_PACKINGS, SolveResult
 from kneserdom.cli import (
     EXIT_FAIL,
     EXIT_OK,
     EXIT_TIMEOUT,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 
@@ -122,7 +124,7 @@ class TestCompute:
 
     @pytest.mark.parametrize(
         "flag", [["--threads", "2"], ["--seed", "1"], ["--attempt-open"],
-                 ["--vertex-ceiling", "10"]]
+                 ["--vertex-ceiling", "10"], ["--no-symmetry-breaking"]]
     )
     def test_removed_flags_are_usage_errors(self, capsys, flag):
         code, _, _ = run(
@@ -133,6 +135,27 @@ class TestCompute:
 
     def test_no_subcommand_is_usage_error(self, capsys):
         assert run(capsys)[0] == EXIT_USAGE
+
+
+def test_option_inventory():
+    # every option of every subcommand; a new flag changes this test too
+    parser = build_parser()
+    (subcommands,) = [action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+    inventory = {
+        name: {option for action in sub._actions
+               for option in action.option_strings
+               if option.startswith("--") and option != "--help"}
+        for name, sub in subcommands.choices.items()
+    }
+    assert inventory == {
+        "compute": {"--invariant", "--n", "--r", "--k", "--timeout",
+                    "--format"},
+        "verify": {"--invariant", "--k", "--input", "--format"},
+        "construct": {"--name", "--n", "--r", "--k", "--t", "--a", "--input",
+                      "--check", "--format"},
+        "reproduce": {"--table", "--format"},
+    }
 
 
 class TestVerify:
@@ -284,6 +307,34 @@ class TestConstruct:
         assert code == EXIT_OK, err
         assert from_stdin == from_file
 
+    @pytest.mark.parametrize("argv", [
+        ["disjoint_clique", "--k", "2", "--r", "2"],
+        ["gamma_kt_boundary", "--k", "2", "--r", "3"],
+        ["rho3", "--r", "3", "--t", "2"],
+        ["rho4", "--r", "9", "--t", "3"],
+        ["table3", "--r", "6"],
+        ["doubling_lift", "--a", "2", "--input", "rho3"],
+        ["diagonal_lift", "--input", "table3"],
+        ["normalize", "--input", "rho4"],
+    ])
+    def test_check_passes_on_every_construction(self, capsys, tmp_path, argv):
+        # the domination constructions are checked as such: their members
+        # are disjoint, so as 2-packings they would fail
+        inputs = {
+            "rho3": ["rho3", "--r", "3", "--t", "2"],
+            "rho4": ["rho4", "--r", "9", "--t", "3"],
+            "table3": ["table3", "--r", "4"],
+        }
+        if "--input" in argv:
+            code, doc, _ = run(capsys, "construct", "--format", "json",
+                               "--name", *inputs[argv[-1]])
+            assert code == EXIT_OK
+            path = tmp_path / "input.json"
+            path.write_text(doc)
+            argv = argv[:-1] + [str(path)]
+        code, _, err = run(capsys, "construct", "--check", "--name", *argv)
+        assert code == EXIT_OK, err
+
     def test_missing_required_flag(self, capsys):
         code, _, err = run(capsys, "construct", "--name", "rho3", "--r", "5")
         assert code == EXIT_FAIL
@@ -328,3 +379,24 @@ class TestReproduce:
 
     def test_bad_table_number(self, capsys):
         assert run(capsys, "reproduce", "--table", "9")[0] == EXIT_USAGE
+
+    @pytest.mark.parametrize("flag", [["--timeout", "5"],
+                                      ["--no-symmetry-breaking"]])
+    def test_solver_flags_are_usage_errors(self, capsys, flag):
+        code, _, _ = run(capsys, "reproduce", "--table", "1", *flag)
+        assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("table,solver,bracket,row", [
+        (1, "solve_domination", SolveResult(3, 5), "gamma_xkt(K(4,2)), k=2"),
+        (2, "solve_rho2", SolveResult(2, 5), "rho2(K(24,9))"),
+    ])
+    def test_bracket_matches_no_cell(self, capsys, monkeypatch, table, solver,
+                                     bracket, row):
+        # an open bracket has no value: not the undefined cell, not a number
+        monkeypatch.setattr(f"kneserdom.cli.{solver}",
+                            lambda *args: bracket)
+        code, out, _ = run(capsys, "reproduce", "--table", str(table))
+        assert code == EXIT_FAIL
+        assert f"table {table}: FAIL" in out
+        (line,) = [line for line in out.splitlines() if line.startswith(row)]
+        assert line.endswith("MISMATCH")

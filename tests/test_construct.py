@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 
 from kneserdom import (
+    InvariantKind,
     KneserParams,
     ParameterError,
     VertexFamily,
@@ -19,10 +20,8 @@ from kneserdom import (
     rho3_witness,
     rho4_witness,
     table3_packing,
+    verify,
     verify_2_packing,
-    verify_k_dominating,
-    verify_k_tuple_dominating,
-    verify_k_tuple_total_dominating,
 )
 
 from helpers import block_packing, pairwise_intersections, perturb_packing
@@ -33,9 +32,9 @@ class TestDisjointClique:
     def test_is_k_tuple_total_dominating(self, k, r):
         D = disjoint_clique(k, r, r * (k + r))
         assert len(D) == k + r
-        assert verify_k_tuple_total_dominating(D, k).valid
-        assert verify_k_tuple_dominating(D, k).valid
-        assert verify_k_dominating(D, k).valid
+        assert verify(D, InvariantKind.K_TUPLE_TOTAL, k).valid
+        assert verify(D, InvariantKind.K_TUPLE, k).valid
+        assert verify(D, InvariantKind.K_DOMINATION, k).valid
 
     def test_is_a_clique(self):
         D = disjoint_clique(2, 2, 8)
@@ -45,7 +44,7 @@ class TestDisjointClique:
     def test_slack_n(self):
         D = disjoint_clique(2, 2, 11)
         assert D.params.n == 11
-        assert verify_k_tuple_total_dominating(D, 2).valid
+        assert verify(D, InvariantKind.K_TUPLE_TOTAL, 2).valid
 
     def test_n_too_small_rejected(self):
         with pytest.raises(ParameterError):
@@ -58,7 +57,7 @@ class TestBoundary:
         D = gamma_kt_boundary(k, r)
         assert D.params.n == r * (k + r) - 1
         assert len(D) == k + r + 1
-        assert verify_k_tuple_total_dominating(D, k).valid
+        assert verify(D, InvariantKind.K_TUPLE_TOTAL, k).valid
 
     def test_contains_no_clique_of_required_size(self):
         # at n = r(k+r)-1 no k+r pairwise-disjoint r-sets fit
