@@ -16,7 +16,6 @@ from .core import (
     Vertex,
     VertexFamily,
     internal_check,
-    popcount,
 )
 
 
@@ -120,7 +119,7 @@ def verify_2_packing(S: VertexFamily) -> VerificationReport:
         for j in range(i + 1, len(members)):
             u, v = members[i], members[j]
             checked += 1
-            if popcount(u.mask & v.mask) not in allowed:
+            if (u.mask & v.mask).bit_count() not in allowed:
                 return VerificationReport(
                     False, InvariantKind.TWO_PACKING, 0, (u, v), checked
                 )

@@ -1,5 +1,10 @@
 """Command-line front end: compute, verify, construct, reproduce.
 
+`CONSTRUCTIONS` is the one statement of what `construct --name` accepts:
+the function each name calls, the options it takes, and the invariant
+`--check` verifies its output as. An option that a construction does not
+take, or `--k` for rho2, is an error rather than ignored.
+
 Exit codes: 0 success / valid / expected-undefined, 1 invalid result,
 mismatched row or error, 2 `compute` timeout (bounds only), 64 usage error.
 """
@@ -10,7 +15,7 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
-from typing import Any
+from typing import Any, NamedTuple
 
 from . import construct as cons
 from .certify import InvariantKind, VerificationReport, verify
@@ -24,7 +29,7 @@ from .core import (
 from .familydoc import (
     FamilyDocumentError,
     family_to_csv,
-    family_to_json,
+    family_to_document,
     load_family_document,
 )
 from .solve import (
@@ -56,6 +61,31 @@ TABLE1_EXPECTED: dict[int, tuple[int, int, int | None]] = {
 # r >= 10.
 TABLE2_LOWER_BOUNDS = {4: 12, 5: 12, 6: 10, 7: 6, 8: 5}
 TABLE2_EXACT = {9: 4, 10: 3}
+
+
+class Construction(NamedTuple):
+    """A `construct --name` row: `construct.<function>` is called with the
+    values of `options`, then of `optional` (None when not given), in that
+    order; `--input` is read as a family document. `--check` verifies the
+    output as `check`, with `--k` for the domination kinds."""
+    function: str
+    options: tuple[str, ...]
+    check: InvariantKind = InvariantKind.TWO_PACKING
+    optional: tuple[str, ...] = ()
+
+
+CONSTRUCTIONS: dict[str, Construction] = {
+    "disjoint_clique": Construction("disjoint_clique", ("k", "r"),
+                                    InvariantKind.K_TUPLE_TOTAL, ("n",)),
+    "gamma_kt_boundary": Construction("gamma_kt_boundary", ("k", "r"),
+                                      InvariantKind.K_TUPLE_TOTAL),
+    "rho3": Construction("rho3_witness", ("r", "t")),
+    "rho4": Construction("rho4_witness", ("r", "t")),
+    "table3": Construction("table3_packing", ("r",)),
+    "doubling_lift": Construction("doubling_lift", ("input", "a")),
+    "diagonal_lift": Construction("diagonal_lift", ("input",)),
+    "normalize": Construction("normalize_packing", ("input",)),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,10 +125,7 @@ def build_parser() -> _Parser:
 
     p_construct = sub.add_parser("construct", help="emit a recorded construction")
     p_construct.add_argument("--name", required=True,
-                             choices=("disjoint_clique", "gamma_kt_boundary",
-                                      "rho3", "rho4", "table3",
-                                      "doubling_lift", "diagonal_lift",
-                                      "normalize"))
+                             choices=tuple(CONSTRUCTIONS))
     p_construct.add_argument("--n", type=int, default=None)
     p_construct.add_argument("--r", type=int, default=None)
     p_construct.add_argument("--k", type=int, default=None)
@@ -117,15 +144,18 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _emit(doc: dict, fmt: str, csv_rows: list[str] | None = None) -> None:
+def _emit(doc: dict, fmt: str, csv_rows: list[str],
+          text_rows: list[str] | None = None) -> None:
+    """Print `doc` as JSON, or the rows of the format; the text rows
+    default to one "key: value" line per field of `doc`."""
     if fmt == "json":
-        print(json.dumps(doc, indent=2))
+        rows = [json.dumps(doc, indent=2)]
     elif fmt == "csv":
-        for row in csv_rows or []:
-            print(row)
+        rows = csv_rows
     else:
-        for key, value in doc.items():
-            print(f"{key}: {value}")
+        rows = text_rows or [f"{key}: {value}" for key, value in doc.items()]
+    for row in rows:
+        print(row)
 
 
 def _result_document(args, result: SolveResult) -> dict:
@@ -150,8 +180,11 @@ def _result_document(args, result: SolveResult) -> dict:
 
 
 def _invariant_kind(args: argparse.Namespace) -> InvariantKind:
-    """The invariant named by --invariant; every kind but rho2 needs --k."""
+    """The invariant named by --invariant; every kind but rho2 needs --k,
+    and rho2 takes none."""
     kind = InvariantKind(args.invariant)
+    if kind is InvariantKind.TWO_PACKING and args.k is not None:
+        raise ParameterError(f"--k does not apply to {args.invariant}")
     if kind is not InvariantKind.TWO_PACKING and args.k is None:
         raise ParameterError(f"--k is required for {args.invariant}")
     return kind
@@ -166,7 +199,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     else:
         result = solve_domination(params, kind, args.k, cfg)
     doc = _result_document(args, result)
-    csv_rows = None
+    csv_rows = []
     if result.witness is not None:
         csv_rows = [" ".join(map(str, v.elements)) for v in result.witness]
     _emit(doc, args.format, csv_rows)
@@ -206,64 +239,42 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report.valid else EXIT_FAIL
 
 
-def _require(args, *names: str) -> list:
-    values = []
-    for name in names:
-        value = getattr(args, name)
-        if value is None:
-            raise ParameterError(f"--{name} is required for {args.name}")
-        values.append(value)
-    return values
-
-
 def cmd_construct(args: argparse.Namespace) -> int:
     name = args.name
-    check_kind, check_k = InvariantKind.TWO_PACKING, 0
-    if name == "disjoint_clique":
-        k, r = _require(args, "k", "r")
-        n = args.n if args.n is not None else r * (k + r)
-        family = cons.disjoint_clique(k, r, n)
-        check_kind, check_k = InvariantKind.K_TUPLE_TOTAL, k
-    elif name == "gamma_kt_boundary":
-        k, r = _require(args, "k", "r")
-        family = cons.gamma_kt_boundary(k, r)
-        check_kind, check_k = InvariantKind.K_TUPLE_TOTAL, k
-    elif name == "rho3":
-        r, t = _require(args, "r", "t")
-        family = cons.rho3_witness(r, t)
-    elif name == "rho4":
-        r, t = _require(args, "r", "t")
-        family = cons.rho4_witness(r, t)
-    elif name == "table3":
-        (r,) = _require(args, "r")
-        family = cons.table3_packing(r)
-    elif name == "doubling_lift":
-        a, path = _require(args, "a", "input")
-        family = cons.doubling_lift(_read_family(path), a)
-    elif name == "diagonal_lift":
-        (path,) = _require(args, "input")
-        family = cons.diagonal_lift(_read_family(path))
-    else:  # normalize
-        (path,) = _require(args, "input")
-        family = cons.normalize_packing(_read_family(path))
+    row = CONSTRUCTIONS[name]
+    taken = row.options + row.optional
+    # checked in this order, which names the first of two missing options
+    for option in ("k", "r", "t", "a", "input", "n"):
+        value = getattr(args, option)
+        if value is not None and option not in taken:
+            raise ParameterError(f"--{option} does not apply to {name}")
+        if value is None and option in row.options:
+            raise ParameterError(f"--{option} is required for {name}")
+    family = getattr(cons, row.function)(*(
+        _read_family(args.input) if option == "input" else getattr(args, option)
+        for option in taken))
 
     if args.check:
-        report = verify(family, check_kind, check_k)
+        report = verify(family, row.check, args.k or 0)
         if not report.valid:
             print("construction failed its designated verifier", file=sys.stderr)
             return EXIT_FAIL
 
-    if args.format == "json":
-        print(family_to_json(family, {"construction": name}))
-    elif args.format == "csv":
-        print(family_to_csv(family))
-    else:
-        print(f"K({family.params.n},{family.params.r}), {len(family)} sets:")
-        print(family_to_csv(family))
+    csv = family_to_csv(family)  # one string, so an empty family prints ""
+    _emit(family_to_document(family, {"construction": name}), args.format,
+          [csv], [f"K({family.params.n},{family.params.r}), {len(family)} sets:",
+                  csv])
     return EXIT_OK
 
 
-def _run_table1() -> list[dict]:
+def _row(parameters: str, expected, computed, ok: bool,
+         status: str = "MATCH") -> dict:
+    """A reproduce row; `status` when `ok`, else MISMATCH."""
+    return {"parameters": parameters, "expected": expected,
+            "computed": computed, "status": status if ok else "MISMATCH"}
+
+
+def _table1_rows() -> list[dict]:
     rows = []
     for n, expected_cells in sorted(TABLE1_EXPECTED.items()):
         for label, cell in zip(("gamma_k", "gamma_xk", "gamma_xkt"),
@@ -274,75 +285,46 @@ def _run_table1() -> list[dict]:
             computed = ("undefined" if result.status is SolveStatus.UNDEFINED
                         else result.value)
             expected = "undefined" if cell is None else cell
-            rows.append({
-                "parameters": f"{label}(K({n},2)), k=2",
-                "expected": expected,
-                "computed": computed,
-                "status": "MATCH" if computed == expected else "MISMATCH",
-            })
+            rows.append(_row(f"{label}(K({n},2)), k=2", expected, computed,
+                             computed == expected))
     return rows
 
 
-def _run_table2() -> list[dict]:
-    rows = []
-    for r, bound in sorted(TABLE2_LOWER_BOUNDS.items()):
-        family = cons.table3_packing(r)
-        report = verify(family, InvariantKind.TWO_PACKING)
-        ok = report.valid and len(family) >= bound
-        rows.append({
-            "parameters": f"rho2(K({3 * r - 3},{r}))",
-            "expected": f">= {bound}",
-            "computed": f"witness of {len(family)}" if report.valid else "invalid",
-            "status": "BOUND_CONSISTENT" if ok else "MISMATCH",
-        })
-    for r, expected in sorted(TABLE2_EXACT.items()):
-        n = 3 * r - 3
-        computed = solve_rho2(KneserParams(n, r)).value
-        rows.append({
-            "parameters": f"rho2(K({n},{r}))",
-            "expected": f"= {expected}",
-            "computed": computed,
-            "status": "MATCH" if computed == expected else "MISMATCH",
-        })
-    return rows
-
-
-def _run_table3() -> list[dict]:
+def _packing_rows(table: int) -> list[dict]:
+    """Tables 2 and 3: each recorded packing checked against its recorded
+    size, as a lower bound on rho2 (Table 2) or as the size itself (Table 3);
+    Table 2 then solves the exact rows."""
     rows = []
     for r, size in sorted(TABLE2_LOWER_BOUNDS.items()):
         family = cons.table3_packing(r)
-        report = verify(family, InvariantKind.TWO_PACKING)
-        ok = report.valid and len(family) == size
-        rows.append({
-            "parameters": f"2-packing of K({3 * r - 3},{r})",
-            "expected": f"{size} sets, valid",
-            "computed": f"{len(family)} sets, "
-                        + ("valid" if report.valid else "invalid"),
-            "status": "MATCH" if ok else "MISMATCH",
-        })
+        valid = verify(family, InvariantKind.TWO_PACKING).valid
+        graph, found = f"K({3 * r - 3},{r})", len(family)
+        if table == 2:
+            rows.append(_row(f"rho2({graph})", f">= {size}",
+                             f"witness of {found}" if valid else "invalid",
+                             valid and found >= size, "BOUND_CONSISTENT"))
+        else:
+            rows.append(_row(f"2-packing of {graph}", f"{size} sets, valid",
+                             f"{found} sets, {'valid' if valid else 'invalid'}",
+                             valid and found == size))
+    if table == 2:
+        for r, expected in sorted(TABLE2_EXACT.items()):
+            n = 3 * r - 3
+            computed = solve_rho2(KneserParams(n, r)).value
+            rows.append(_row(f"rho2(K({n},{r}))", f"= {expected}", computed,
+                             computed == expected))
     return rows
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    if args.table == 1:
-        rows = _run_table1()
-    elif args.table == 2:
-        rows = _run_table2()
-    else:
-        rows = _run_table3()
+    rows = _table1_rows() if args.table == 1 else _packing_rows(args.table)
     passing = all(row["status"] != "MISMATCH" for row in rows)
-    doc = {"table": args.table, "passing": passing, "rows": rows}
-    if args.format == "json":
-        print(json.dumps(doc, indent=2))
-    else:
-        for row in rows:
-            line = (f"{row['parameters']:32} expected {row['expected']!s:>10} "
-                    f"computed {row['computed']!s:>10}  {row['status']}")
-            if args.format == "csv":
-                line = ",".join(str(row[key]) for key in
-                                ("parameters", "expected", "computed", "status"))
-            print(line)
-        print(f"table {args.table}: {'PASS' if passing else 'FAIL'}")
+    summary = f"table {args.table}: {'PASS' if passing else 'FAIL'}"
+    _emit({"table": args.table, "passing": passing, "rows": rows}, args.format,
+          [",".join(map(str, row.values())) for row in rows] + [summary],
+          [f"{row['parameters']:32} expected {row['expected']!s:>10} "
+           f"computed {row['computed']!s:>10}  {row['status']}"
+           for row in rows] + [summary])
     return EXIT_OK if passing else EXIT_FAIL
 
 

@@ -29,14 +29,16 @@ def _interval(lo: int, hi: int) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def disjoint_clique(k: int, r: int, n: int) -> VertexFamily:
+def disjoint_clique(k: int, r: int, n: int | None = None) -> VertexFamily:
     """k+r pairwise-disjoint consecutive r-blocks, a clique of K(n,r).
 
-    Member i is [(i-1)r+1 .. ir]; requires n >= r(k+r). The result is a
-    k-tuple total dominating set.
+    Member i is [(i-1)r+1 .. ir]; requires n >= r(k+r), the default n. The
+    result is a k-tuple total dominating set.
     """
     if k < 1 or r < 1:
         raise ParameterError(f"k and r must be positive, got k={k}, r={r}")
+    if n is None:
+        n = r * (k + r)
     if n < r * (k + r):
         raise ParameterError(
             f"disjoint clique of {k + r} r-blocks needs n >= r(k+r) = "

@@ -54,10 +54,6 @@ def default_vertex_ceiling() -> int:
     return value
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 @dataclass(frozen=True)
 class KneserParams:
     """The pair (n, r) defining the Kneser graph K(n,r), with n >= 2r."""
@@ -149,12 +145,12 @@ class Vertex:
 
     @property
     def size(self) -> int:
-        return popcount(self.mask)
+        return self.mask.bit_count()
 
     def validate_for(self, params: KneserParams) -> None:
-        if popcount(self.mask) != params.r:
+        if self.mask.bit_count() != params.r:
             raise ParameterError(
-                f"vertex {self.elements} has {popcount(self.mask)} elements, "
+                f"vertex {self.elements} has {self.mask.bit_count()} elements, "
                 f"expected r={params.r}"
             )
         if self.mask & ~params.ground_mask:
@@ -163,7 +159,7 @@ class Vertex:
             )
 
     def intersection_size(self, other: "Vertex") -> int:
-        return popcount(self.mask & other.mask)
+        return (self.mask & other.mask).bit_count()
 
     def __repr__(self) -> str:
         return f"Vertex{self.elements}"
@@ -267,5 +263,5 @@ def distance_at_most_2(u: Vertex, v: Vertex, params: KneserParams) -> bool:
         raise ParameterError("distance_at_most_2 requires distinct vertices")
     if (u.mask & v.mask) == 0:
         return True
-    free = params.n - popcount(u.mask | v.mask)
+    free = params.n - (u.mask | v.mask).bit_count()
     return free >= params.r

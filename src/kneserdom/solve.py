@@ -54,7 +54,6 @@ from .core import (
     Vertex,
     VertexFamily,
     internal_check,
-    popcount,
 )
 from .construct import disjoint_clique, rho3_witness, rho4_witness
 
@@ -142,7 +141,7 @@ def _orbits(masks: list[int], a: int, b: int) -> list[int]:
     takes from each part, which (|u&a|, |u&b|, |u&a&b|) and r determine.
     With b = a the orbits are the classes of |u&a|.
     """
-    keys = [(popcount(m & a), popcount(m & b), popcount(m & a & b))
+    keys = [((m & a).bit_count(), (m & b).bit_count(), (m & a & b).bit_count())
             for m in masks]
     classes: dict[tuple[int, int, int], int] = {}
     for v, key in enumerate(keys):
@@ -164,7 +163,7 @@ def _relation_bitsets(masks: list[int], sizes: Iterable[int]) -> list[int]:
         for x in _bits(m):
             contains[x] |= 1 << v
     full = (1 << len(masks)) - 1
-    depth = popcount(masks[0]).bit_length()
+    depth = masks[0].bit_count().bit_length()
     related = []
     for m in masks:
         count = [0] * depth
@@ -219,7 +218,7 @@ class _DominationSearch:
 
     d[u] is u's deficit, the demand left after the chosen vertices, and
     `needy` the bitset of the u with d[u] > 0. Choosing v removes
-    popcount(nbr[v] & needy) + min(credit, d[v]) deficit units, its gain.
+    (nbr[v] & needy).bit_count() + min(credit, d[v]) deficit units, its gain.
     """
 
     def __init__(self, masks, kind, k, deadline):
@@ -230,7 +229,7 @@ class _DominationSearch:
         self.deadline = deadline
         self.V = len(nbr)
         self.nodes = 0
-        degree = popcount(nbr[0]) if nbr else 0  # Kneser graphs are regular
+        degree = nbr[0].bit_count() if nbr else 0  # Kneser graphs are regular
         self.max_gain = degree + self.credit
         # helpers[u]: vertices whose selection raises u's coverage
         own = 1 if self.credit else 0
@@ -303,7 +302,7 @@ class _DominationSearch:
             d[u] -= 1
             if not d[u]:
                 cleared |= 1 << u
-        self.total -= popcount(hit)
+        self.total -= hit.bit_count()
         self.needy &= ~cleared
         self.chosen_bits |= 1 << v
         self.chosen.append(v)
@@ -347,7 +346,7 @@ class _DominationSearch:
             if d[u] > best_d:
                 target, best_d = u, d[u]
         avail = self.helpers[target] & ~self.chosen_bits & ~banned
-        supply = popcount(avail & ~(1 << target))
+        supply = (avail & ~(1 << target)).bit_count()
         if avail >> target & 1:
             supply += min(self.credit, best_d)
         if supply < best_d:

@@ -8,6 +8,7 @@ import pytest
 
 from kneserdom import TABLE3_PACKINGS, SolveResult
 from kneserdom.cli import (
+    CONSTRUCTIONS,
     EXIT_FAIL,
     EXIT_OK,
     EXIT_TIMEOUT,
@@ -118,6 +119,15 @@ class TestCompute:
         assert code == EXIT_FAIL
         assert "KNESERDOM_VERTEX_CEILING must be positive" in err
 
+    def test_k_does_not_apply_to_rho2(self, capsys):
+        code, out, err = run(
+            capsys, "compute", "--invariant", "rho2",
+            "--n", "7", "--r", "3", "--k", "5",
+        )
+        assert code == EXIT_FAIL
+        assert out == ""
+        assert "--k does not apply to rho2" in err
+
     def test_usage_error_exit_code(self, capsys):
         code, _, err = run(capsys, "compute", "--invariant", "bogus")
         assert code == EXIT_USAGE
@@ -214,6 +224,19 @@ class TestVerify:
         assert code == EXIT_FAIL
         assert "malformed family document" in err
         assert "sets[0]: expected 3 elements, got 2" in err
+
+    def test_k_does_not_apply_to_rho2(self, capsys, tmp_path):
+        path = write_doc(
+            tmp_path, "pack.json",
+            {"n": 9, "r": 4, "sets": TABLE3_PACKINGS[4]},
+        )
+        code, out, err = run(
+            capsys, "verify", "--invariant", "rho2", "--k", "5",
+            "--input", path,
+        )
+        assert code == EXIT_FAIL
+        assert out == ""
+        assert "--k does not apply to rho2" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(
@@ -335,6 +358,13 @@ class TestConstruct:
         code, _, err = run(capsys, "construct", "--check", "--name", *argv)
         assert code == EXIT_OK, err
 
+    def test_empty_family_output(self, capsys, tmp_path):
+        # the header, then the empty csv as one empty line
+        path = write_doc(tmp_path, "empty.json", {"n": 9, "r": 4, "sets": []})
+        argv = ["construct", "--name", "diagonal_lift", "--input", path]
+        assert run(capsys, *argv) == (EXIT_OK, "K(10,5), 0 sets:\n\n", "")
+        assert run(capsys, *argv, "--format", "csv") == (EXIT_OK, "\n", "")
+
     def test_missing_required_flag(self, capsys):
         code, _, err = run(capsys, "construct", "--name", "rho3", "--r", "5")
         assert code == EXIT_FAIL
@@ -400,3 +430,82 @@ class TestReproduce:
         assert f"table {table}: FAIL" in out
         (line,) = [line for line in out.splitlines() if line.startswith(row)]
         assert line.endswith("MISMATCH")
+
+
+# Options each construction takes, with values it accepts; an --input value
+# names the construction whose JSON output is read.
+CONSTRUCTION_ARGUMENTS = {
+    "disjoint_clique": {"k": "2", "r": "2", "n": "9"},
+    "gamma_kt_boundary": {"k": "2", "r": "3"},
+    "rho3": {"r": "3", "t": "2"},
+    "rho4": {"r": "9", "t": "3"},
+    "table3": {"r": "6"},
+    "doubling_lift": {"input": "rho3", "a": "2"},
+    "diagonal_lift": {"input": "table3"},
+    "normalize": {"input": "rho4"},
+}
+
+
+def _construct_options():
+    """The options of `construct` that a construction may take."""
+    parser = build_parser()
+    (subcommands,) = [action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+    return {option[2:] for action in subcommands.choices["construct"]._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help", "--name", "--check", "--format")}
+
+
+def test_every_construct_option_is_taken():
+    taken = {option for row in CONSTRUCTIONS.values()
+             for option in row.options + row.optional}
+    assert _construct_options() == taken
+    assert set(CONSTRUCTION_ARGUMENTS) == set(CONSTRUCTIONS)
+    for name, row in CONSTRUCTIONS.items():
+        assert set(CONSTRUCTION_ARGUMENTS[name]) == set(row.options + row.optional)
+
+
+class TestConstructionOptions:
+    @pytest.fixture
+    def argv(self, capsys, tmp_path):
+        """The argv of a construction from a dict of option values."""
+        def build(name, values):
+            argv = ["construct", "--name", name]
+            for option, value in values.items():
+                if option == "input":
+                    code, doc, _ = run(
+                        capsys, *build(value, CONSTRUCTION_ARGUMENTS[value]),
+                        "--format", "json")
+                    assert code == EXIT_OK
+                    path = tmp_path / f"{value}.json"
+                    path.write_text(doc)
+                    value = str(path)
+                argv += [f"--{option}", value]
+            return argv
+        return build
+
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+    def test_options_not_taken_are_errors(self, capsys, argv, name):
+        values = CONSTRUCTION_ARGUMENTS[name]
+        assert run(capsys, *argv(name, values))[0] == EXIT_OK
+        for option in sorted(_construct_options() - set(values)):
+            extra = {option: "rho3" if option == "input" else "3"}
+            code, out, err = run(capsys, *argv(name, {**values, **extra}))
+            assert code == EXIT_FAIL, option
+            assert out == ""
+            assert f"--{option} does not apply to {name}" in err
+
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+    def test_options_taken_are_required(self, capsys, argv, name):
+        values = CONSTRUCTION_ARGUMENTS[name]
+        for option in sorted(values):
+            rest = {o: v for o, v in values.items() if o != option}
+            code, out, err = run(capsys, *argv(name, rest), "--format", "json")
+            if (name, option) == ("disjoint_clique", "n"):
+                # n defaults to r(k+r)
+                assert code == EXIT_OK
+                assert (json.loads(out)["n"], json.loads(out)["r"]) == (8, 2)
+                continue
+            assert code == EXIT_FAIL, option
+            assert out == ""
+            assert f"--{option} is required for {name}" in err
