@@ -57,9 +57,17 @@ def self_credit(kind: InvariantKind, k: int) -> int:
     return k if credit == EXEMPT else credit
 
 
+def check_k(k: int) -> None:
+    """Reject a demand k below 1: the domination kinds need k >= 1."""
+    if k < 1:
+        raise ParameterError(f"k must be a positive integer, got {k}")
+
+
 def is_defined(params: KneserParams, kind: InvariantKind, k: int) -> bool:
     """Whether some family meets the demand: D = V(G) gives each vertex its
-    degree plus its self-credit, and no family gives more."""
+    degree plus its self-credit, and no family gives more. Raises
+    ParameterError for k < 1 (`check_k`)."""
+    check_k(k)
     return params.min_degree + self_credit(kind, k) >= k
 
 
@@ -68,8 +76,6 @@ def _verify_domination(
 ) -> VerificationReport:
     """Every checked vertex u needs |N(u) ∩ D|, plus its self-credit if u is
     in D, to reach k; exempt members are not checked."""
-    if k < 1:
-        raise ParameterError(f"k must be a positive integer, got {k}")
     if not is_defined(D.params, kind, k):
         raise DefinabilityError(
             f"{kind.value} with k={k} undefined on K({D.params.n},{D.params.r})"

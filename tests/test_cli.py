@@ -261,6 +261,19 @@ class TestVerify:
         assert code == EXIT_OK
 
 
+@pytest.mark.parametrize("command", ["compute", "verify"])
+def test_nonpositive_k_message(command, capsys, tmp_path):
+    """compute and verify reject k = 0 with the one message of the rule."""
+    path = write_doc(tmp_path, "dom.json", {"n": 5, "r": 2, "sets": [[1, 2]]})
+    where = (["--input", path] if command == "verify"
+             else ["--n", "5", "--r", "2"])
+    code, out, err = run(capsys, command, "--invariant", "gamma_k",
+                         "--k", "0", *where)
+    assert code == EXIT_FAIL
+    assert out == ""
+    assert err == "error: k must be a positive integer, got 0\n"
+
+
 class TestConstruct:
     def test_disjoint_clique_json(self, capsys):
         code, out, _ = run(

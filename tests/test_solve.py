@@ -190,6 +190,16 @@ class TestOracleAgreement:
         with pytest.raises(CapacityError):
             brute_force_domination(KneserParams(10, 2), KD, 1)
 
+    @pytest.mark.parametrize("solve", [
+        lambda k: dom(5, 2, KD, k),
+        lambda k: brute_force_domination(KneserParams(5, 2), KD, k),
+    ])
+    def test_nonpositive_k_rejected(self, solve):
+        for k in (0, -1):
+            with pytest.raises(ParameterError,
+                               match=f"^k must be a positive integer, got {k}$"):
+                solve(k)
+
 
 class TestSolverOptions:
     def test_no_symmetry_same_values(self):
@@ -303,11 +313,24 @@ class TestRho2:
 
     def test_search_agrees_without_symmetry(self):
         a = solve_rho2(KneserParams(9, 4), SolverConfig(symmetry_breaking=True))
-        b = solve_rho2(KneserParams(9, 4), SolverConfig(symmetry_breaking=False))
+        # the plain search takes about 23 s on 2 CPUs; the budget is far
+        # above that, so the result does not depend on machine speed
+        b = solve_rho2(KneserParams(9, 4),
+                       SolverConfig(timeout=1200, symmetry_breaking=False))
         assert a.value == b.value == 12
         # the orbit rule cuts the search with symmetry breaking; without it
         # the nodes are those of the plain search, which the color cut keeps
-        assert (a.nodes, b.nodes) == (13_164, 2_378_117)
+        assert (a.nodes, b.nodes) == (748, 2_378_117)
+
+    def test_k125_closes_at_12(self):
+        """rho2(K(12,5)) = 12, the recorded Table 2 value, proved by search:
+        orbital branching up to cliques of three members keeps it to 6,750
+        nodes."""
+        res = solve_rho2(KneserParams(12, 5), SolverConfig(timeout=600))
+        assert res.optimal and res.value == 12
+        assert res.nodes == 6_750
+        assert len(res.witness) == 12
+        assert verify_2_packing(res.witness).valid
 
     @pytest.mark.parametrize("n,r,value", [(7, 3, 7), (10, 4, 5)])
     def test_orbit_rule_keeps_value(self, n, r, value):
@@ -403,21 +426,23 @@ class TestSortedGainBound:
             assert search.total == sum(d)
 
 
-def _preserving_permutation(n, a, b, rng):
-    """A random permutation of [n], as a list, that maps each of a&b, a-b,
-    b-a and the rest onto itself."""
+def _atoms(n, sets):
+    """The non-empty Venn atoms of `sets` over [n], as lists of elements:
+    the classes of elements by which sets contain them."""
+    atoms = {}
+    for x in range(n):
+        atoms.setdefault(tuple(s >> x & 1 for s in sets), []).append(x)
+    return list(atoms.values())
+
+
+def _preserving_permutation(n, sets, rng):
+    """A random permutation of [n], as a list, that maps each Venn atom of
+    `sets` onto itself."""
     perm = list(range(n))
-    for part in _parts(n, a, b):
-        perm_part = rng.sample(part, len(part))
-        for x, y in zip(part, perm_part):
+    for atom in _atoms(n, sets):
+        for x, y in zip(atom, rng.sample(atom, len(atom))):
             perm[x] = y
     return perm
-
-
-def _parts(n, a, b):
-    full = (1 << n) - 1
-    return [[x for x in range(n) if part >> x & 1]
-            for part in (a & b, a & ~b, b & ~a, full & ~(a | b))]
 
 
 def _apply(perm, mask):
@@ -425,38 +450,43 @@ def _apply(perm, mask):
 
 
 class TestOrbits:
-    """`solve._orbits` returns the orbits of the permutations fixing the sets
-    a and b: each class is closed under them, and each is one orbit."""
+    """`solve._orbits(masks, sets)` returns the orbits of the permutations
+    fixing every set in `sets`: each class is closed under them, and each is
+    one orbit. Checked on one, two and three fixed sets, repeats included."""
 
     @pytest.mark.parametrize("n,r", [(7, 3), (9, 4), (11, 5)])
     def test_classes_are_orbits(self, n, r):
         rng = random.Random(1000 * n + r)
         masks = list(KneserParams(n, r).vertex_masks())
         index = {m: i for i, m in enumerate(masks)}
-        a = masks[0]
-        for t in [0] + rng.sample(range(1, len(masks)), 3):
-            b = masks[t]
-            orbit = kneserdom.solve._orbits(masks, a, b)
+        others = range(1, len(masks))
+        picks = [[0], [0, 0], [0, 0, 0]]  # repeated sets fix no more
+        for count in (2, 3):
+            picks += [[0] + rng.sample(others, count - 1) for _ in range(2)]
+        picks.append([0] + [rng.choice(others)] * 2)
+        for pick in picks:
+            sets = [masks[t] for t in pick]
+            orbit = kneserdom.solve._orbits(masks, sets)
             for _ in range(5):
-                perm = _preserving_permutation(n, a, b, rng)
+                perm = _preserving_permutation(n, sets, rng)
                 for v, m in enumerate(masks):
                     assert orbit[index[_apply(perm, m)]] == orbit[v]
             # every member of a class is the image of its first member under
-            # a permutation that maps each part onto itself
+            # a permutation that maps each atom onto itself
             for cls in set(orbit):
                 first = masks[(cls & -cls).bit_length() - 1]
                 for v, m in enumerate(masks):
                     if not cls >> v & 1:
                         continue
                     perm = list(range(n))
-                    for part in _parts(n, a, b):
-                        # the part's elements of `first` go to those of m
-                        src = sorted(part, key=lambda x: not first >> x & 1)
-                        dst = sorted(part, key=lambda x: not m >> x & 1)
+                    for atom in _atoms(n, sets):
+                        # the atom's elements of `first` go to those of m
+                        src = sorted(atom, key=lambda x: not first >> x & 1)
+                        dst = sorted(atom, key=lambda x: not m >> x & 1)
                         for x, y in zip(src, dst):
                             perm[x] = y
                     assert _apply(perm, first) == m
-                    assert _apply(perm, a) == a and _apply(perm, b) == b
+                    assert all(_apply(perm, s) == s for s in sets)
 
 
 class TestRelationBitsets:
