@@ -1,13 +1,16 @@
 """Certificate checking for domination-type sets and 2-packings.
 
-Each verifier enumerates the vertices of K(n,r) in colex order (or the
-member pairs, for 2-packings) and reports the first violation it finds.
+The domination verifier walks the vertices of K(n,r) by class, the classes
+being fixed by how many elements a vertex takes from each Venn atom of the
+family, and reports the colex-first violating vertex; the 2-packing verifier
+walks the member pairs and reports the first violating pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import comb
 
 from .core import (
     DefinabilityError,
@@ -71,35 +74,109 @@ def is_defined(params: KneserParams, kind: InvariantKind, k: int) -> bool:
     return params.min_degree + self_credit(kind, k) >= k
 
 
+def _low_prefixes(mask: int, count: int) -> list[int]:
+    """[the lowest c elements of mask for c = 0..count]; a c beyond the
+    elements of mask has no entry."""
+    prefixes = [0]
+    while mask and len(prefixes) <= count:
+        low = mask & -mask
+        prefixes.append(prefixes[-1] | low)
+        mask ^= low
+    return prefixes
+
+
+def _colex_rank(mask: int) -> int:
+    """How many r-sets come before `mask` in colex order."""
+    return sum(comb(x - 1, i) for i, x in enumerate(Vertex(mask).elements, 1))
+
+
 def _verify_domination(
     D: VertexFamily, kind: InvariantKind, k: int
 ) -> VerificationReport:
     """Every checked vertex u needs |N(u) ∩ D|, plus its self-credit if u is
-    in D, to reach k; exempt members are not checked."""
-    if not is_defined(D.params, kind, k):
+    in D, to reach k; exempt members are not checked.
+
+    The vertices are walked by class: how many elements u takes from each
+    Venn atom of D's members and from the atom outside them all
+    (`KneserParams.atoms`). u misses a member exactly when it takes nothing
+    from the member's atoms, so |N(u) ∩ D| is the same across a class; and
+    a member's class holds the member alone. The least r-set of a class
+    takes the lowest elements of each atom, and the violation reported is
+    the least of those over the violating classes, which is the colex-first
+    violating vertex. The walk takes the atoms highest first and skips a
+    subtree whose least completion is not below the violation found so far,
+    so on singleton atoms it is the colex stream of the vertices; it also
+    skips a subtree whose every u is sure to miss k members.
+    """
+    params = D.params
+    if not is_defined(params, kind, k):
         raise DefinabilityError(
-            f"{kind.value} with k={k} undefined on K({D.params.n},{D.params.r})"
+            f"{kind.value} with k={k} undefined on K({params.n},{params.r})"
         )
     exempt = SELF_CREDIT[kind] == EXEMPT
     credit = self_credit(kind, k)
     masks = D.member_masks()
     member_set = set(masks)
-    checked = 0
-    for u in D.params.vertex_masks():
-        hits = 0
-        if u in member_set:
-            if exempt:
+    r, size = params.r, len(masks)
+    # (atom, the members that contain it and so meet any u taking from it)
+    atoms = sorted(((atom, met) for met, atom in params.atoms(masks).items()),
+                   reverse=True)
+    # takes[i][c]: the lowest c elements of atom i
+    takes = [_low_prefixes(atom, r) for atom, _ in atoms]
+    # least[i][left]: the lowest `left` elements of the atoms from i on, or
+    # `top`, above every r-set, where they have too few; reach[i]: the
+    # members those atoms can still meet, so that the members met so far
+    # and out of reach are missed by every u of the subtree
+    top = 1 << params.n
+    least = [[0] + [top] * r]
+    reach = [0]
+    rest = 0
+    for atom, met in reversed(atoms):
+        rest |= atom
+        prefixes = _low_prefixes(rest, r)
+        least.append(prefixes + [top] * (r + 1 - len(prefixes)))
+        reach.append(reach[-1] | met)
+    least.reverse()
+    reach.reverse()
+    best = top
+
+    def walk(i: int, left: int, u: int, met: int) -> None:
+        """Visit the classes that take `left` more elements, from the atoms
+        from i on, beside u, which meets the members in `met`."""
+        nonlocal best
+        # the least completion only grows and the reach only shrinks as the
+        # first atom to take from moves up, so one test finds where to stop
+        stop = i
+        while (stop < len(atoms) and u | least[stop][left] < best
+               and size - (met | reach[stop]).bit_count() < k):
+            stop += 1
+        # the highest atoms first: the one taken from last comes first
+        for j in reversed(range(i, stop)):
+            if u | least[j][left] >= best:  # best fell meanwhile
                 continue
-            hits = credit
-        checked += 1
-        for m in masks:
-            if (u & m) == 0:
-                hits += 1
-                if hits >= k:
-                    break
-        if hits < k:
-            return VerificationReport(False, kind, k, Vertex(u), checked)
-    return VerificationReport(True, kind, k, None, checked)
+            met_j = met | atoms[j][1]
+            for c, low in enumerate(takes[j][1:left + 1], 1):
+                v, more = u | low, left - c
+                if more:
+                    walk(j + 1, more, v, met_j)
+                    continue
+                count = size - met_j.bit_count()
+                if v in member_set:
+                    if exempt:
+                        continue
+                    count += credit
+                if count < k and v < best:
+                    best = v
+
+    walk(0, r, 0, 0)
+    skipped = size if exempt else 0
+    if best == top:
+        return VerificationReport(True, kind, k, None,
+                                  params.vertex_count - skipped)
+    if exempt:
+        skipped = sum(1 for m in masks if m < best)
+    return VerificationReport(False, kind, k, Vertex(best),
+                              _colex_rank(best) + 1 - skipped)
 
 
 def packing_intersections(params: KneserParams) -> range:

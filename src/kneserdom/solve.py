@@ -57,6 +57,7 @@ from .core import (
     Vertex,
     VertexFamily,
     internal_check,
+    venn_atoms,
 )
 from .construct import disjoint_clique, rho3_witness, rho4_witness
 
@@ -140,17 +141,11 @@ def _orbits(masks: list[int], sets: list[int]) -> list[int]:
     fix each set in `sets` setwise.
 
     Those permutations are the ones that map each Venn atom of the sets onto
-    itself, so an r-set's orbit is fixed by how many elements it takes from
-    each atom. The atom outside every set needs no count, as r determines it.
+    itself (`venn_atoms`), so an r-set's orbit is fixed by how many elements
+    it takes from each atom. The atom outside every set needs no count, as r
+    determines it.
     """
-    atoms: list[int] = []
-    covered = 0
-    for s in sets:
-        atoms = [part for atom in atoms for part in (atom & s, atom & ~s)
-                 if part]
-        if s & ~covered:
-            atoms.append(s & ~covered)
-        covered |= s
+    atoms = venn_atoms(sets).values()
     classes: dict[tuple[int, ...], int] = {}
     keys = []
     for v, m in enumerate(masks):

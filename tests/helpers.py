@@ -1,11 +1,21 @@
-"""Shared builders for the test suite: block packings and seeded perturbations."""
+"""Shared builders and oracles for the test suite: block packings, seeded
+perturbations, and vertex-by-vertex and pair-by-pair references."""
 
 from __future__ import annotations
 
 import random
 from itertools import combinations
 
-from kneserdom import KneserParams, VertexFamily, verify_2_packing
+from kneserdom import (
+    InvariantKind,
+    KneserParams,
+    VerificationReport,
+    VertexFamily,
+    closed_neighbor_count,
+    distance_at_most_2,
+    open_neighbor_count,
+    verify_2_packing,
+)
 
 
 def block_packing(r: int, t: int, size: int) -> VertexFamily:
@@ -92,3 +102,55 @@ def pairwise_intersections(family: VertexFamily) -> dict[tuple[int, int], int]:
         (i, j): family.members[i].intersection_size(family.members[j])
         for i, j in combinations(range(len(family)), 2)
     }
+
+
+def reference_domination_report(
+    D: VertexFamily, kind: InvariantKind, k: int
+) -> VerificationReport:
+    """The domination verifier's report, vertex by vertex from the
+    definitions: the colex-first vertex whose neighbor count falls short of
+    k, and how many vertices were checked up to it. k-domination skips the
+    members; k-tuple domination counts the closed neighborhood; k-tuple
+    total domination the open one."""
+    checked = 0
+    for u in D.params.vertices():
+        if kind is InvariantKind.K_DOMINATION:
+            if u in D:
+                continue
+            count = open_neighbor_count(u, D)
+        elif kind is InvariantKind.K_TUPLE:
+            count = closed_neighbor_count(u, D)
+        else:
+            count = open_neighbor_count(u, D)
+        checked += 1
+        if count < k:
+            return VerificationReport(False, kind, k, u, checked)
+    return VerificationReport(True, kind, k, None, checked)
+
+
+def bron_kerbosch_rho2(params: KneserParams) -> int:
+    """rho2(K(n,r)) as the largest clique of the graph joining the vertex
+    pairs at distance >= 3, built pair by pair with `distance_at_most_2` and
+    searched by a plain Bron-Kerbosch with pivoting: no coloring bound and
+    no symmetry."""
+    vertices = list(params.vertices())
+    far: dict[int, set[int]] = {i: set() for i in range(len(vertices))}
+    for i, j in combinations(range(len(vertices)), 2):
+        if not distance_at_most_2(vertices[i], vertices[j], params):
+            far[i].add(j)
+            far[j].add(i)
+    best = 0
+
+    def expand(size: int, P: set[int], X: set[int]) -> None:
+        nonlocal best
+        if not P and not X:
+            best = max(best, size)
+            return
+        pivot = max(P | X, key=lambda u: len(P & far[u]))
+        for v in list(P - far[pivot]):
+            expand(size + 1, P & far[v], X & far[v])
+            P.remove(v)
+            X.add(v)
+
+    expand(0, set(far), set())
+    return best

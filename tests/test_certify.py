@@ -18,6 +18,10 @@ from kneserdom import (
     verify,
     verify_2_packing,
 )
+from kneserdom.certify import is_defined
+from kneserdom.construct import disjoint_clique, gamma_kt_boundary
+
+from helpers import reference_domination_report
 
 KD = InvariantKind.K_DOMINATION
 KT = InvariantKind.K_TUPLE
@@ -237,26 +241,34 @@ class TestDispatch:
         assert report.checked_count == 6  # 10 vertices minus 4 members
 
 
-class TestAgainstNeighborCounts:
-    """The streaming verifier against the definitions, vertex by vertex."""
+KINDS = (KD, KT, KTT)
 
-    @staticmethod
-    def _reference(D, kind, k):
-        """(first violating vertex in colex order, vertices checked)."""
-        checked = 0
-        for u in D.params.vertices():
-            if kind is InvariantKind.K_DOMINATION:
-                if u in D:
-                    continue
-                count = open_neighbor_count(u, D)
-            elif kind is InvariantKind.K_TUPLE:
-                count = closed_neighbor_count(u, D)
-            else:
-                count = open_neighbor_count(u, D)
-            checked += 1
-            if count < k:
-                return u, checked
-        return None, checked
+
+def _agrees_with_reference(D):
+    """Compare every defined (kind, k <= 3) report with the vertex-by-vertex
+    one; return the verdicts seen."""
+    verdicts = set()
+    for kind in KINDS:
+        for k in (1, 2, 3):
+            if not is_defined(D.params, kind, k):
+                continue
+            report = verify(D, kind, k)
+            assert report == reference_domination_report(D, kind, k), (
+                D.as_sets(), kind, k)
+            verdicts.add(report.valid)
+    return verdicts
+
+
+def _drops(D):
+    """D, then D without each of its members in turn."""
+    yield D
+    for i in range(len(D)):
+        yield VertexFamily(D.params, D.members[:i] + D.members[i + 1:])
+
+
+class TestAgainstNeighborCounts:
+    """The class walk against the definitions, vertex by vertex: the same
+    verdict, colex-first violation and checked count."""
 
     @pytest.mark.parametrize("n,r,seed", [(6, 2, 707), (7, 3, 808)])
     def test_random_families(self, n, r, seed):
@@ -265,17 +277,53 @@ class TestAgainstNeighborCounts:
         pool = list(p.vertices())
         for _ in range(40):
             D = VertexFamily(p, tuple(rng.sample(pool, rng.randint(1, len(pool)))))
-            for kind in (
-                InvariantKind.K_DOMINATION,
-                InvariantKind.K_TUPLE,
-                InvariantKind.K_TUPLE_TOTAL,
-            ):
+            for kind in KINDS:
                 for k in (1, 2, 3):
                     report = verify(D, kind, k)
-                    violation, checked = self._reference(D, kind, k)
-                    assert report.valid == (violation is None)
-                    assert report.witness_violation == violation
-                    assert report.checked_count == checked
+                    assert report == reference_domination_report(D, kind, k)
                     if report.valid:
                         exempt = kind is InvariantKind.K_DOMINATION
+                        checked = report.checked_count
                         assert checked == len(pool) - (len(D) if exempt else 0)
+
+    @pytest.mark.parametrize("k,r,n", [
+        (1, 2, 6), (2, 2, 8), (2, 2, 10), (3, 2, 10), (1, 3, 12), (2, 3, 15),
+        (2, 3, 17),
+    ])
+    def test_clique_and_its_drops(self, k, r, n):
+        # coarse atoms: each member is an atom, beside the n - r(k+r)
+        # elements outside them all
+        verdicts = set()
+        for D in _drops(disjoint_clique(k, r, n)):
+            verdicts |= _agrees_with_reference(D)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("k,r", [(2, 2), (3, 2), (2, 3), (3, 3)])
+    def test_boundary_family_and_its_drops(self, k, r):
+        verdicts = set()
+        for D in _drops(gamma_kt_boundary(k, r)):
+            verdicts |= _agrees_with_reference(D)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("n,r", [(5, 2), (7, 2), (7, 3), (9, 3)])
+    def test_stars(self, n, r):
+        # the vertices through element 1, whole and cut down: one atom
+        # shared by every member
+        p = KneserParams(n, r)
+        star = [v for v in p.vertices() if 1 in v.elements]
+        verdicts = set()
+        for size in range(1, len(star) + 1):
+            verdicts |= _agrees_with_reference(VertexFamily(p, tuple(star[:size])))
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("n,r,seed", [(9, 3, 909), (10, 3, 1010)])
+    def test_small_random_families(self, n, r, seed):
+        # up to a fifth of the vertices: from few large atoms to many small
+        rng = random.Random(seed)
+        p = KneserParams(n, r)
+        pool = list(p.vertices())
+        verdicts = set()
+        for _ in range(30):
+            members = rng.sample(pool, rng.randint(1, len(pool) // 5))
+            verdicts |= _agrees_with_reference(VertexFamily(p, tuple(members)))
+        assert verdicts == {True, False}

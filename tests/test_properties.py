@@ -1,0 +1,73 @@
+"""Property tests: the domination verifier under relabellings of [n]."""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings, strategies as st
+
+from kneserdom import (
+    InvariantKind,
+    KneserParams,
+    Vertex,
+    VertexFamily,
+    closed_neighbor_count,
+    open_neighbor_count,
+    verify,
+)
+from kneserdom.certify import is_defined
+
+KINDS = (InvariantKind.K_DOMINATION, InvariantKind.K_TUPLE,
+         InvariantKind.K_TUPLE_TOTAL)
+
+
+def _relabel(perm, mask):
+    """The image of `mask` under the permutation perm of the bit positions."""
+    return sum(1 << perm[x] for x in range(len(perm)) if mask >> x & 1)
+
+
+def _is_violation(u, D, kind, k):
+    if kind is InvariantKind.K_DOMINATION:
+        return u not in D and open_neighbor_count(u, D) < k
+    if kind is InvariantKind.K_TUPLE:
+        return closed_neighbor_count(u, D) < k
+    return open_neighbor_count(u, D) < k
+
+
+@st.composite
+def relabelled_families(draw):
+    """(D, the image of D under a permutation of [n], the permutation,
+    kind, k) on a Kneser graph of at most 462 vertices."""
+    r = draw(st.integers(1, 4))
+    n = draw(st.integers(2 * r, min(2 * r + 4, 11)))
+    params = KneserParams(n, r)
+    masks = list(params.vertex_masks())
+    members = draw(st.lists(st.sampled_from(masks), unique=True, min_size=1,
+                            max_size=min(len(masks), 30)))
+    perm = draw(st.permutations(range(n)))
+    kind = draw(st.sampled_from(KINDS))
+    k = draw(st.integers(1, 3))
+    D = VertexFamily(params, tuple(Vertex(m) for m in members))
+    image = VertexFamily(params, tuple(Vertex(_relabel(perm, m))
+                                       for m in members))
+    return D, image, perm, kind, k
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(relabelled_families())
+def test_relabelling_keeps_the_verdict(case):
+    """A permutation of [n] is an automorphism of K(n,r), so it keeps the
+    verdict and, for a valid family, the count; an invalid family's reported
+    violation, mapped back, is a violation of the original family."""
+    D, image, perm, kind, k = case
+    assume(is_defined(D.params, kind, k))
+    before, after = verify(D, kind, k), verify(image, kind, k)
+    assert before.valid == after.valid
+    if after.valid:
+        assert after.checked_count == before.checked_count
+        return
+    inverse = [0] * len(perm)
+    for x, y in enumerate(perm):
+        inverse[y] = x
+    u = Vertex(_relabel(inverse, after.witness_violation.mask))
+    assert _is_violation(u, D, kind, k)
+    assert _is_violation(before.witness_violation, D, kind, k)

@@ -34,6 +34,8 @@ from kneserdom import (
 )
 from kneserdom.certify import packing_intersections
 
+from helpers import bron_kerbosch_rho2
+
 KD = InvariantKind.K_DOMINATION
 KT = InvariantKind.K_TUPLE
 KTT = InvariantKind.K_TUPLE_TOTAL
@@ -229,7 +231,8 @@ def _family(n, r, sets):
 
 
 @pytest.mark.parametrize("call,answer", [
-    # every path that enumerates the vertices stops at the ceiling
+    # every path that enumerates the vertices, or walks their classes as the
+    # domination verifier does, stops at the ceiling
     pytest.param(lambda: dom(9, 2, KD, 1), None, id="domination-search"),
     pytest.param(lambda: dom(8, 2, KD, 2), None, id="clique-closure"),
     pytest.param(lambda: solve_rho2(KneserParams(7, 3)), None,
@@ -280,6 +283,15 @@ class TestRho2:
         assert res.optimal
         assert len(res.witness) == 7
         assert verify_2_packing(res.witness).valid
+
+    @pytest.mark.parametrize("n,r", [(6, 3), (7, 3), (10, 4)])
+    def test_orbit_search_agrees_with_bron_kerbosch(self, n, r):
+        # the orbit rule against a search with no symmetry and no shared
+        # code: a rule that excludes too much lowers the value found
+        params = KneserParams(n, r)
+        res = solve_rho2(params)
+        assert res.optimal and res.nodes > 0
+        assert res.value == bron_kerbosch_rho2(params)
 
     def test_k94_by_search(self):
         res = solve_rho2(KneserParams(9, 4))
@@ -487,6 +499,36 @@ class TestOrbits:
                             perm[x] = y
                     assert _apply(perm, first) == m
                     assert all(_apply(perm, s) == s for s in sets)
+
+
+    @pytest.mark.parametrize("n,r", [(7, 3), (9, 4), (10, 4)])
+    def test_clique_search_fixes_the_whole_clique(self, n, r, monkeypatch):
+        # The value tests cannot see an unsound orbit rule: on these graphs
+        # even excluding every candidate after the first branch at cliques
+        # of up to three members still finds rho2. So check the rule
+        # itself: each exclusion at a clique C uses the orbits of the
+        # permutations that fix every member of C.
+        solve = kneserdom.solve
+        stack, calls = [], []
+        expand, orbits = solve._CliqueSearch.expand, solve._orbits
+
+        def traced_expand(self, clique, p_mask):
+            stack.append(list(clique))
+            try:
+                expand(self, clique, p_mask)
+            finally:
+                stack.pop()
+
+        def traced_orbits(masks, sets):
+            calls.append((list(sets), [masks[c] for c in stack[-1]]))
+            return orbits(masks, sets)
+
+        monkeypatch.setattr(solve._CliqueSearch, "expand", traced_expand)
+        monkeypatch.setattr(solve, "_orbits", traced_orbits)
+        assert solve_rho2(KneserParams(n, r)).optimal
+        assert calls
+        for sets, clique in calls:
+            assert sets == clique and 1 <= len(clique) <= solve._ORBIT_DEPTH
 
 
 class TestRelationBitsets:
