@@ -26,17 +26,11 @@ from .core import (
     ParameterError,
     Vertex,
     VertexFamily,
-    closed_neighbor_count,
-    distance_at_most_2,
-    is_adjacent,
-    occurrence_classes,
-    open_neighbor_count,
 )
 from .familydoc import (
     FamilyDocumentError,
     family_to_csv,
     family_to_document,
-    family_to_json,
     load_family_document,
     parse_family_document,
 )
@@ -44,7 +38,6 @@ from .solve import (
     SolveResult,
     SolveStatus,
     SolverConfig,
-    brute_force_domination,
     solve_domination,
     solve_rho2,
     threshold_prediction_by_n,
@@ -69,21 +62,14 @@ __all__ = [
     "VerificationReport",
     "Vertex",
     "VertexFamily",
-    "brute_force_domination",
-    "closed_neighbor_count",
     "diagonal_lift",
     "disjoint_clique",
-    "distance_at_most_2",
     "doubling_lift",
     "family_to_csv",
     "family_to_document",
-    "family_to_json",
     "gamma_kt_boundary",
-    "is_adjacent",
     "load_family_document",
     "normalize_packing",
-    "occurrence_classes",
-    "open_neighbor_count",
     "parse_family_document",
     "rho3_witness",
     "rho4_witness",

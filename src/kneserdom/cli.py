@@ -201,7 +201,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     doc = _result_document(args, result)
     csv_rows = []
     if result.witness is not None:
-        csv_rows = [" ".join(map(str, v.elements)) for v in result.witness]
+        csv_rows = [family_to_csv(result.witness)]
     _emit(doc, args.format, csv_rows)
     if result.status in (SolveStatus.OPTIMAL, SolveStatus.UNDEFINED):
         return EXIT_OK
@@ -226,7 +226,8 @@ def _report_document(report: VerificationReport) -> dict:
 
 def _read_family(path: str) -> VertexFamily:
     """The family of the document at `path`; "-" reads it from stdin."""
-    with (nullcontext(sys.stdin) if path == "-" else open(path)) as fh:
+    with (nullcontext(sys.stdin) if path == "-"
+          else open(path, encoding="utf-8")) as fh:
         family, _ = load_family_document(fh)
     return family
 

@@ -8,7 +8,7 @@ every public interface; the 0-based bit positions never leak.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Iterator
 
@@ -117,10 +117,6 @@ class KneserParams:
         self.check_capacity()
         return venn_atoms(sets, self.ground_mask)
 
-    def vertices(self) -> Iterator["Vertex"]:
-        for mask in self.vertex_masks():
-            yield Vertex(mask)
-
 
 def venn_atoms(sets: Iterable[int], ground: int = 0) -> dict[int, int]:
     """The Venn atoms of the masks `sets`, each keyed by the bitset of the
@@ -178,58 +174,45 @@ class Vertex:
             mask ^= low
         return tuple(out)
 
-    @property
-    def size(self) -> int:
-        return self.mask.bit_count()
-
     def validate_for(self, params: KneserParams) -> None:
         if self.mask.bit_count() != params.r:
             raise ParameterError(
                 f"vertex {self.elements} has {self.mask.bit_count()} elements, "
                 f"expected r={params.r}"
             )
-        if self.mask & ~params.ground_mask:
+        if self.mask >> params.n:
             raise ParameterError(
                 f"vertex {self.elements} uses elements above n={params.n}"
             )
-
-    def intersection_size(self, other: "Vertex") -> int:
-        return (self.mask & other.mask).bit_count()
 
     def __repr__(self) -> str:
         return f"Vertex{self.elements}"
 
 
-def is_adjacent(u: Vertex, v: Vertex) -> bool:
-    """Adjacency in a Kneser graph: the subsets are disjoint."""
-    if u.size != v.size:
-        raise ParameterError("vertices from different Kneser graphs")
-    return (u.mask & v.mask) == 0
-
-
 @dataclass(frozen=True)
 class VertexFamily:
-    """An ordered duplicate-free collection of vertices of one K(n,r).
-
-    Caches the occurrence counts i_x = |{u in members : x in u}| for x in [n];
-    these satisfy sum_x i_x = r * |members|.
-    """
+    """An ordered duplicate-free collection of vertices of one K(n,r)."""
 
     params: KneserParams
     members: tuple[Vertex, ...]
-    occurrences: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         seen = set()
-        counts = [0] * self.params.n
         for v in self.members:
             v.validate_for(self.params)
             if v.mask in seen:
                 raise ParameterError(f"duplicate member {v.elements} in family")
             seen.add(v.mask)
+
+    @property
+    def occurrences(self) -> tuple[int, ...]:
+        """The occurrence counts i_x = |{u in members : x in u}| for x in [n],
+        counted on each access; they satisfy sum_x i_x = r * |members|."""
+        counts = [0] * self.params.n
+        for v in self.members:
             for x in v.elements:
                 counts[x - 1] += 1
-        object.__setattr__(self, "occurrences", tuple(counts))
+        return tuple(counts)
 
     @classmethod
     def from_sets(
@@ -243,60 +226,9 @@ class VertexFamily:
     def __iter__(self) -> Iterator[Vertex]:
         return iter(self.members)
 
-    def __contains__(self, v: Vertex) -> bool:
-        return any(v.mask == u.mask for u in self.members)
-
     def member_masks(self) -> tuple[int, ...]:
         return tuple(v.mask for v in self.members)
 
     def as_sets(self) -> list[list[int]]:
         return [list(v.elements) for v in self.members]
 
-
-def closed_neighbor_count(u: Vertex, D: VertexFamily) -> int:
-    """|N[u] ∩ D| in K(n,r): disjoint members, plus u itself if u in D."""
-    u.validate_for(D.params)
-    count = sum(1 for v in D.members if (u.mask & v.mask) == 0)
-    if u in D:
-        count += 1
-    return count
-
-
-def open_neighbor_count(u: Vertex, D: VertexFamily) -> int:
-    """|N(u) ∩ D| in K(n,r); never counts u itself."""
-    u.validate_for(D.params)
-    return sum(1 for v in D.members if (u.mask & v.mask) == 0)
-
-
-def occurrence_classes(
-    D: VertexFamily, a: int
-) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
-    """(X_a, X_a>=, X_a<=): elements with i_x equal / at least / at most a."""
-    if a < 0:
-        raise ParameterError(f"occurrence threshold must be >= 0, got {a}")
-    exact, at_least, at_most = set(), set(), set()
-    for x in range(1, D.params.n + 1):
-        ix = D.occurrences[x - 1]
-        if ix == a:
-            exact.add(x)
-        if ix >= a:
-            at_least.add(x)
-        if ix <= a:
-            at_most.add(x)
-    return frozenset(exact), frozenset(at_least), frozenset(at_most)
-
-
-def distance_at_most_2(u: Vertex, v: Vertex, params: KneserParams) -> bool:
-    """Whether distinct u, v are adjacent or share a neighbor in K(n,r).
-
-    A common neighbor is an r-subset avoiding u and v, which exists exactly
-    when at least r elements of [n] lie outside u ∪ v.
-    """
-    u.validate_for(params)
-    v.validate_for(params)
-    if u.mask == v.mask:
-        raise ParameterError("distance_at_most_2 requires distinct vertices")
-    if (u.mask & v.mask) == 0:
-        return True
-    free = params.n - (u.mask | v.mask).bit_count()
-    return free >= params.r

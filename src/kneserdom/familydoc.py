@@ -74,6 +74,10 @@ def load_family_document(fh: TextIO) -> tuple[VertexFamily, dict]:
         raise FamilyDocumentError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise FamilyDocumentError(f"not UTF-8 text ({exc.reason})") from exc
+    except RecursionError as exc:
+        raise FamilyDocumentError("JSON nested too deeply") from exc
     return parse_family_document(obj)
 
 
@@ -86,10 +90,6 @@ def family_to_document(family: VertexFamily, meta: dict | None = None) -> dict:
     if meta:
         doc["meta"] = meta
     return doc
-
-
-def family_to_json(family: VertexFamily, meta: dict | None = None) -> str:
-    return json.dumps(family_to_document(family, meta), indent=2)
 
 
 def family_to_csv(family: VertexFamily) -> str:

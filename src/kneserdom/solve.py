@@ -28,8 +28,6 @@ that bracket. Every witness a solver returns, whether the bracket closed or
 a deadline stopped the search, passes its verifier on the way out; the
 witness attains the bracket's upper bound for domination and its lower bound
 for the 2-packing number.
-
-A slow brute-force oracle is provided for cross-validation at tiny sizes.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ from itertools import combinations
 from .certify import (
     InvariantKind,
     VerificationReport,
-    check_k,
     is_defined,
     packing_intersections,
     self_credit,
@@ -51,7 +48,6 @@ from .certify import (
     verify_2_packing,
 )
 from .core import (
-    CapacityError,
     KneserParams,
     ParameterError,
     Vertex,
@@ -441,63 +437,6 @@ def solve_domination(
         nodes = search.nodes
     return _certified(witness, verify(witness, kind, k),
                       lb, len(witness), nodes, start)
-
-
-# --- brute-force oracle ---------------------------------------------------
-
-_BRUTE_VERTEX_LIMIT = 40
-_BRUTE_SIZE_LIMIT = 8
-
-
-def brute_force_domination(
-    params: KneserParams, kind: InvariantKind, k: int
-) -> SolveResult:
-    """Enumerate families by cardinality and return the first valid one.
-
-    Independent of the branch-and-bound path: validity is decided by a plain
-    double loop over vertices and members, and definability by whether the
-    whole vertex set is valid, since validity is closed under supersets.
-    Guarded to graphs with at most 40 vertices and optimum at most 8.
-    """
-    if kind is InvariantKind.TWO_PACKING:
-        raise ParameterError("the oracle covers domination kinds only")
-    check_k(k)
-    start = time.monotonic()
-    V = params.vertex_count
-    if V > _BRUTE_VERTEX_LIMIT:
-        raise CapacityError(
-            f"brute force limited to {_BRUTE_VERTEX_LIMIT} vertices, got {V}"
-        )
-    masks = list(params.vertex_masks())
-
-    def valid(chosen: tuple[int, ...]) -> bool:
-        chosen_set = set(chosen)
-        for i, u in enumerate(masks):
-            inside = i in chosen_set
-            if kind is InvariantKind.K_DOMINATION and inside:
-                continue
-            count = sum(1 for j in chosen if masks[j] & u == 0)
-            if kind is InvariantKind.K_TUPLE and inside:
-                count += 1
-            if count < k:
-                return False
-        return True
-
-    if not valid(tuple(range(V))):
-        return SolveResult(None, None, wall_time=time.monotonic() - start)
-    checked = 0
-    for s in range(1, min(V, _BRUTE_SIZE_LIMIT) + 1):
-        for combo in combinations(range(V), s):
-            checked += 1
-            if valid(combo):
-                witness = VertexFamily(
-                    params, tuple(Vertex(masks[i]) for i in combo)
-                )
-                return SolveResult(s, s, witness, checked,
-                                   time.monotonic() - start)
-    raise CapacityError(
-        f"no family of size <= {_BRUTE_SIZE_LIMIT} found; outside oracle guard"
-    )
 
 
 # --- 2-packing number ------------------------------------------------------

@@ -1,21 +1,118 @@
-"""Shared builders and oracles for the test suite: block packings, seeded
-perturbations, and vertex-by-vertex and pair-by-pair references."""
+"""Shared builders and independent oracles for the test suite: block
+packings, seeded perturbations, neighbor counts, the distance <= 2 test, a
+brute-force domination solver, and vertex-by-vertex and pair-by-pair
+references."""
 
 from __future__ import annotations
 
 import random
+import time
 from itertools import combinations
 
 from kneserdom import (
+    CapacityError,
     InvariantKind,
     KneserParams,
+    ParameterError,
+    SolveResult,
     VerificationReport,
+    Vertex,
     VertexFamily,
-    closed_neighbor_count,
-    distance_at_most_2,
-    open_neighbor_count,
     verify_2_packing,
 )
+from kneserdom.certify import check_k
+
+
+def vertices(params: KneserParams) -> list[Vertex]:
+    """The vertices of K(n,r) in colex order, enumerated by
+    `KneserParams.vertex_masks`, which checks the vertex ceiling."""
+    return [Vertex(mask) for mask in params.vertex_masks()]
+
+
+def closed_neighbor_count(u: Vertex, D: VertexFamily) -> int:
+    """|N[u] ∩ D| in K(n,r): disjoint members, plus u itself if u in D."""
+    u.validate_for(D.params)
+    count = sum(1 for v in D.members if (u.mask & v.mask) == 0)
+    if u in D:
+        count += 1
+    return count
+
+
+def open_neighbor_count(u: Vertex, D: VertexFamily) -> int:
+    """|N(u) ∩ D| in K(n,r); never counts u itself."""
+    u.validate_for(D.params)
+    return sum(1 for v in D.members if (u.mask & v.mask) == 0)
+
+
+def distance_at_most_2(u: Vertex, v: Vertex, params: KneserParams) -> bool:
+    """Whether distinct u, v are adjacent or share a neighbor in K(n,r).
+
+    A common neighbor is an r-subset avoiding u and v, which exists exactly
+    when at least r elements of [n] lie outside u ∪ v.
+    """
+    u.validate_for(params)
+    v.validate_for(params)
+    if u.mask == v.mask:
+        raise ParameterError("distance_at_most_2 requires distinct vertices")
+    if (u.mask & v.mask) == 0:
+        return True
+    free = params.n - (u.mask | v.mask).bit_count()
+    return free >= params.r
+
+
+_BRUTE_VERTEX_LIMIT = 40
+_BRUTE_SIZE_LIMIT = 8
+
+
+def brute_force_domination(
+    params: KneserParams, kind: InvariantKind, k: int
+) -> SolveResult:
+    """Enumerate families by cardinality and return the first valid one.
+
+    Independent of the branch-and-bound path: validity is decided by a plain
+    double loop over vertices and members, and definability by whether the
+    whole vertex set is valid, since validity is closed under supersets.
+    Guarded to graphs with at most 40 vertices and optimum at most 8.
+    """
+    if kind is InvariantKind.TWO_PACKING:
+        raise ParameterError("the oracle covers domination kinds only")
+    check_k(k)
+    start = time.monotonic()
+    V = params.vertex_count
+    if V > _BRUTE_VERTEX_LIMIT:
+        raise CapacityError(
+            f"brute force limited to {_BRUTE_VERTEX_LIMIT} vertices, got {V}"
+        )
+    masks = list(params.vertex_masks())
+
+    def valid(chosen: tuple[int, ...]) -> bool:
+        chosen_set = set(chosen)
+        for i, u in enumerate(masks):
+            inside = i in chosen_set
+            if kind is InvariantKind.K_DOMINATION and inside:
+                continue
+            count = sum(1 for j in chosen if masks[j] & u == 0)
+            if kind is InvariantKind.K_TUPLE and inside:
+                count += 1
+            if count < k:
+                return False
+        return True
+
+    if not valid(tuple(range(V))):
+        return SolveResult(None, None, wall_time=time.monotonic() - start)
+    checked = 0
+    for s in range(1, min(V, _BRUTE_SIZE_LIMIT) + 1):
+        for combo in combinations(range(V), s):
+            checked += 1
+            if valid(combo):
+                witness = VertexFamily(
+                    params, tuple(Vertex(masks[i]) for i in combo)
+                )
+                return SolveResult(s, s, witness, checked,
+                                   time.monotonic() - start)
+    raise CapacityError(
+        f"no family of size <= {_BRUTE_SIZE_LIMIT} found; outside oracle guard"
+    )
 
 
 def block_packing(r: int, t: int, size: int) -> VertexFamily:
@@ -99,7 +196,7 @@ def perturb_packing(
 
 def pairwise_intersections(family: VertexFamily) -> dict[tuple[int, int], int]:
     return {
-        (i, j): family.members[i].intersection_size(family.members[j])
+        (i, j): (family.members[i].mask & family.members[j].mask).bit_count()
         for i, j in combinations(range(len(family)), 2)
     }
 
@@ -113,7 +210,7 @@ def reference_domination_report(
     members; k-tuple domination counts the closed neighborhood; k-tuple
     total domination the open one."""
     checked = 0
-    for u in D.params.vertices():
+    for u in vertices(D.params):
         if kind is InvariantKind.K_DOMINATION:
             if u in D:
                 continue
@@ -133,10 +230,10 @@ def bron_kerbosch_rho2(params: KneserParams) -> int:
     pairs at distance >= 3, built pair by pair with `distance_at_most_2` and
     searched by a plain Bron-Kerbosch with pivoting: no coloring bound and
     no symmetry."""
-    vertices = list(params.vertices())
-    far: dict[int, set[int]] = {i: set() for i in range(len(vertices))}
-    for i, j in combinations(range(len(vertices)), 2):
-        if not distance_at_most_2(vertices[i], vertices[j], params):
+    pool = vertices(params)
+    far: dict[int, set[int]] = {i: set() for i in range(len(pool))}
+    for i, j in combinations(range(len(pool)), 2):
+        if not distance_at_most_2(pool[i], pool[j], params):
             far[i].add(j)
             far[j].add(i)
     best = 0

@@ -225,6 +225,22 @@ class TestVerify:
         assert "malformed family document" in err
         assert "sets[0]: expected 3 elements, got 2" in err
 
+    @pytest.mark.parametrize("content,reason", [
+        (b"\xff\xfe{}", "not UTF-8 text (invalid start byte)"),
+        (b"[" * 100_000, "JSON nested too deeply"),
+    ], ids=["utf16-bom", "deep-nesting"])
+    def test_undecodable_document_message(self, capsys, tmp_path, content,
+                                          reason):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out, err = run(
+            capsys, "verify", "--invariant", "rho2", "--input", str(path),
+        )
+        assert code == EXIT_FAIL
+        assert out == ""
+        assert err == f"error: malformed family document: {reason}\n"
+        assert "Traceback" not in err
+
     def test_k_does_not_apply_to_rho2(self, capsys, tmp_path):
         path = write_doc(
             tmp_path, "pack.json",

@@ -10,12 +10,14 @@ from kneserdom import (
     ParameterError,
     Vertex,
     VertexFamily,
+    table3_packing,
+)
+
+from helpers import (
     closed_neighbor_count,
     distance_at_most_2,
-    is_adjacent,
-    occurrence_classes,
     open_neighbor_count,
-    table3_packing,
+    vertices,
 )
 
 
@@ -66,7 +68,7 @@ class TestKneserParams:
 
     def test_colex_enumeration(self):
         p = K(5, 2)
-        verts = list(p.vertices())
+        verts = vertices(p)
         assert len(verts) == 10
         assert verts[0].elements == (1, 2)
         assert verts[1].elements == (1, 3)
@@ -80,7 +82,7 @@ class TestVertex:
     def test_roundtrip(self):
         v = V(2, 5, 7)
         assert v.elements == (2, 5, 7)
-        assert v.size == 3
+        assert v.mask.bit_count() == 3
 
     def test_duplicate_element_rejected(self):
         with pytest.raises(ParameterError):
@@ -95,33 +97,6 @@ class TestVertex:
 
     def test_ordering_is_colex(self):
         assert V(4, 5) > V(1, 2, 3)  # mask order, not size or lex
-
-
-class TestAdjacency:
-    def test_disjoint_blocks_adjacent(self):
-        for r in (2, 3, 5):
-            u = V(*range(1, r + 1))
-            v = V(*range(r + 1, 2 * r + 1))
-            assert is_adjacent(u, v)
-
-    def test_irreflexive(self):
-        u = V(1, 2)
-        assert not is_adjacent(u, u)
-
-    def test_k52_examples(self):
-        assert is_adjacent(V(1, 2), V(3, 4))
-        assert not is_adjacent(V(1, 2), V(2, 3))
-
-    def test_symmetric(self):
-        rng = random.Random(7)
-        pool = list(K(7, 3).vertices())
-        for _ in range(50):
-            u, v = rng.sample(pool, 2)
-            assert is_adjacent(u, v) == is_adjacent(v, u)
-
-    def test_size_mismatch_rejected(self):
-        with pytest.raises(ParameterError):
-            is_adjacent(V(1, 2), V(3, 4, 5))
 
 
 class TestNeighborCounts:
@@ -143,7 +118,7 @@ class TestNeighborCounts:
 
     def test_closed_equals_open_plus_membership(self):
         rng = random.Random(11)
-        pool = list(K(6, 2).vertices())
+        pool = vertices(K(6, 2))
         for _ in range(30):
             members = rng.sample(pool, rng.randint(1, 8))
             D = VertexFamily(K(6, 2), tuple(members))
@@ -161,7 +136,7 @@ class TestVertexFamily:
 
     def test_occurrence_identity(self):
         rng = random.Random(3)
-        pool = list(K(7, 3).vertices())
+        pool = vertices(K(7, 3))
         for _ in range(40):
             members = rng.sample(pool, rng.randint(0, 10))
             D = VertexFamily(K(7, 3), tuple(members))
@@ -170,28 +145,6 @@ class TestVertexFamily:
     def test_occurrence_counts_match_definition(self):
         D = fam(5, 2, [1, 2], [1, 3], [4, 5])
         assert D.occurrences == (2, 1, 1, 1, 1)
-
-
-class TestOccurrenceClasses:
-    def test_disjoint_triples(self):
-        D = fam(9, 3, [1, 2, 3], [4, 5, 6], [7, 8, 9])
-        exact1, ge2, _ = occurrence_classes(D, 1)
-        assert len(exact1) == 9
-        _, ge, _ = occurrence_classes(D, 2)
-        assert ge == frozenset()
-
-    def test_empty_family(self):
-        D = fam(6, 2)
-        exact0, _, _ = occurrence_classes(D, 0)
-        assert exact0 == frozenset(range(1, 7))
-        _, ge1, _ = occurrence_classes(D, 1)
-        assert ge1 == frozenset()
-
-    def test_partition_consistency(self):
-        D = fam(6, 2, [1, 2], [1, 3], [2, 3], [4, 5])
-        for a in range(4):
-            exact, at_least, at_most = occurrence_classes(D, a)
-            assert exact == at_least & at_most
 
     def test_recorded_packing_r4_occurrences(self):
         # 12 four-sets over [9]: 48 occurrence slots, each element 5 or 6.
@@ -203,7 +156,7 @@ class TestOccurrenceClasses:
 def _has_common_neighbor_brute(u, v, params):
     return any(
         (w.mask & u.mask) == 0 and (w.mask & v.mask) == 0
-        for w in params.vertices()
+        for w in vertices(params)
     )
 
 
@@ -214,7 +167,7 @@ class TestDistance:
     def test_k73_pair_without_common_neighbor(self):
         p = K(7, 3)
         u, v = V(1, 2, 3), V(1, 4, 5)
-        assert not is_adjacent(u, v)
+        assert u.mask & v.mask
         assert not _has_common_neighbor_brute(u, v, p)
         assert not distance_at_most_2(u, v, p)
 
@@ -222,7 +175,7 @@ class TestDistance:
         # first two members of the recorded K(9,4) packing share two elements
         p = K(9, 4)
         u, v = V(1, 2, 3, 5), V(1, 2, 6, 9)
-        assert u.intersection_size(v) == 2
+        assert (u.mask & v.mask).bit_count() == 2
         assert not distance_at_most_2(u, v, p)
 
     def test_identical_vertices_rejected(self):
@@ -231,9 +184,9 @@ class TestDistance:
 
     def test_matches_brute_force_on_k73(self):
         p = K(7, 3)
-        verts = list(p.vertices())
-        for u, v in combinations(verts, 2):
-            expected = is_adjacent(u, v) or _has_common_neighbor_brute(u, v, p)
+        for u, v in combinations(vertices(p), 2):
+            adjacent = (u.mask & v.mask) == 0
+            expected = adjacent or _has_common_neighbor_brute(u, v, p)
             assert distance_at_most_2(u, v, p) == expected
 
     @pytest.mark.parametrize("n,r", [(7, 3), (9, 4)])
@@ -242,6 +195,6 @@ class TestDistance:
         # 1 <= |u ∩ v| <= 3r-1-n
         p = K(n, r)
         cap = 3 * r - 1 - n
-        for u, v in combinations(list(p.vertices()), 2):
-            in_band = 1 <= u.intersection_size(v) <= cap
+        for u, v in combinations(vertices(p), 2):
+            in_band = 1 <= (u.mask & v.mask).bit_count() <= cap
             assert distance_at_most_2(u, v, p) == (not in_band)

@@ -2,19 +2,21 @@
 
 import io
 import json
+import tracemalloc
 
 import pytest
 
 from kneserdom import (
     FamilyDocumentError,
+    InvariantKind,
     KneserParams,
     VertexFamily,
     family_to_csv,
     family_to_document,
-    family_to_json,
     load_family_document,
     parse_family_document,
     table3_packing,
+    verify,
 )
 
 
@@ -36,9 +38,25 @@ class TestParse:
 
     def test_json_roundtrip(self):
         family = table3_packing(5)
-        again, meta = load_family_document(io.StringIO(family_to_json(family)))
+        again, meta = load_family_document(
+            io.StringIO(json.dumps(family_to_document(family), indent=2)))
         assert again == family
         assert meta == {}
+
+    def test_large_n_small_family_allocates_little(self):
+        # memory follows the members, not n: no per-element table is built
+        # before the check; members use small elements, since a vertex's
+        # mask is as wide as its largest element
+        text = json.dumps({"n": 10**7, "r": 3, "sets": [[1, 2, 3], [1, 4, 5]]})
+        tracemalloc.start()
+        try:
+            family, _ = load_family_document(io.StringIO(text))
+            report = verify(family, InvariantKind.TWO_PACKING)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not report.valid  # K(10^7, 3) has diameter 2
+        assert peak < 10**6
 
     def test_empty_sets_allowed(self):
         family, _ = parse_family_document(doc(sets=[]))
@@ -86,7 +104,8 @@ class TestEmit:
 
     def test_json_is_valid_and_ordered(self):
         family = table3_packing(4)
-        obj = json.loads(family_to_json(family, {"source": "recorded"}))
+        obj = json.loads(json.dumps(
+            family_to_document(family, {"source": "recorded"}), indent=2))
         assert obj["n"] == 9 and obj["r"] == 4
         assert obj["sets"][0] == [1, 2, 3, 5]
         assert obj["meta"] == {"source": "recorded"}

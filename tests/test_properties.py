@@ -10,11 +10,11 @@ from kneserdom import (
     KneserParams,
     Vertex,
     VertexFamily,
-    closed_neighbor_count,
-    open_neighbor_count,
     verify,
 )
 from kneserdom.certify import is_defined
+
+from helpers import closed_neighbor_count, open_neighbor_count
 
 KINDS = (InvariantKind.K_DOMINATION, InvariantKind.K_TUPLE,
          InvariantKind.K_TUPLE_TOTAL)
