@@ -3,13 +3,16 @@
 The domination verifier walks the vertices of K(n,r) by class, the classes
 being fixed by how many elements a vertex takes from each Venn atom of the
 family, and reports the colex-first violating vertex; the 2-packing verifier
-walks the member pairs and reports the first violating pair.
+walks the member pairs and reports the first violating pair. The upper
+bound on the 2-packing number from Delsarte's LP is checked through its
+dual vector, recomputed here from the Eberlein polynomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from math import comb
 
 from .core import (
@@ -188,6 +191,35 @@ def packing_intersections(params: KneserParams) -> range:
     So the sizes are 1 .. 3r-1-n, an empty range once n >= 3r-1.
     """
     return range(1, 3 * params.r - params.n)
+
+
+def check_delsarte_dual(params: KneserParams, dual: list[Fraction],
+                        bound: Fraction) -> None:
+    """Raise InternalCheckError unless `dual` proves that no 2-packing of
+    K(n,r), 2r+1 <= n <= 3r-2, has more than `bound` members.
+
+    The proof is weak duality for Delsarte's LP. Let a be a packing's
+    distance distribution over the Johnson distances d in
+    packing_intersections, mapped by d = r - |u ∩ v|, and write
+    q_d(k) = E_d(k) / (C(r,d) C(n-r,d)), E the Eberlein polynomial. The
+    packing has 1 + sum_d a_d members, and Delsarte's inequalities give
+    sum_d a_d q_d(k) >= -1 for k = 1..r. So with y >= 0 and
+    sum_k y_k q_d(k) <= -1 for each d, the size is at most
+    1 + sum_d a_d (-sum_k y_k q_d(k)) <= 1 + sum_k y_k.
+    """
+    n, r = params.n, params.r
+    internal_check(len(dual) == r and min(dual) >= 0,
+                   "Delsarte dual is not a nonnegative vector of length r")
+    for d in (r - size for size in packing_intersections(params)):
+        total = Fraction(0)
+        for k, y in enumerate(dual, 1):
+            eberlein = sum((-1) ** j * comb(k, j) * comb(r - k, d - j)
+                           * comb(n - r - k, d - j) for j in range(d + 1))
+            total += y * eberlein
+        internal_check(total <= -comb(r, d) * comb(n - r, d),
+                       f"Delsarte dual violates the constraint of distance {d}")
+    internal_check(bound == 1 + sum(dual),
+                   "Delsarte bound is not 1 + the sum of its dual")
 
 
 def verify_2_packing(S: VertexFamily) -> VerificationReport:

@@ -8,7 +8,12 @@ deficit left; the 2-packing number by maximum-clique branch and bound
 on the pairwise-compatibility graph (pairs at distance >= 3), with closed-form
 shortcuts where the value is forced: diameter-2 graphs, and the threshold
 ranges where counting the occurrences of elements in a normalized packing
-pins the value to 3 or 4.
+pins the value to 3 or 4. Elsewhere in the band 2r+1 <= n <= 3r-2 the floor
+of Delsarte's LP over the Johnson scheme, solved exactly in fractions and
+proved by a dual vector that `certify` checks, caps the clique search, or
+closes the instance at once when a recorded packing meets it. On the
+paper's boundary row n = r(k+r)-1 the domination numbers close by the
+theorem bound k+r+1 and the `gamma_kt_boundary` family.
 
 Both graphs relate two vertices by the size of their intersection: 0 for
 K(n,r) itself, `packing_intersections` for the compatibility graph. One
@@ -36,11 +41,13 @@ import time
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from fractions import Fraction
+from math import comb, floor
 
 from .certify import (
     InvariantKind,
     VerificationReport,
+    check_delsarte_dual,
     is_defined,
     packing_intersections,
     self_credit,
@@ -55,7 +62,14 @@ from .core import (
     internal_check,
     venn_atoms,
 )
-from .construct import disjoint_clique, rho3_witness, rho4_witness
+from .construct import (
+    TABLE3_PACKINGS,
+    disjoint_clique,
+    gamma_kt_boundary,
+    rho3_witness,
+    rho4_witness,
+    table3_packing,
+)
 
 
 class SolveStatus(Enum):
@@ -210,6 +224,59 @@ def threshold_prediction_by_n(n: int, r: int) -> int | None:
     if not 2 * r + 1 <= n <= 3 * r - 2:
         return None
     return threshold_predictions(r, 3 * r - n)
+
+
+# --- Delsarte's linear programming bound (exact rational arithmetic) -----
+
+
+def _eberlein(n: int, r: int, d: int, k: int) -> int:
+    """E_d(k): the eigenvalue of the distance-d relation of the Johnson
+    scheme J(n,r) on its k-th eigenspace."""
+    return sum((-1) ** j * comb(k, j) * comb(r - k, d - j)
+               * comb(n - r - k, d - j) for j in range(min(k, d) + 1))
+
+
+def delsarte_lp(n: int, r: int) -> tuple[Fraction, list[Fraction]]:
+    """Delsarte's LP bound on the 2-packings of K(n,r) inside the band
+    2r+1 <= n <= 3r-2, and the dual vector y that proves it.
+
+    A 2-packing is a code of J(n,r) whose Johnson distances r - |u ∩ v| lie
+    in D = {r-cap, ..., r-1}, cap = 3r-1-n. Its distance distribution a
+    satisfies 1 + sum_d a_d E_d(k)/(C(r,d) C(n-r,d)) >= 0 for k = 1..r, so
+    its size 1 + sum_d a_d is at most the LP's maximum. The primal simplex
+    on a dense Fraction tableau starts at a = 0, which is feasible since
+    every right-hand side is 1, and pivots by Bland's rule, which cannot
+    cycle. At the optimum the slack columns of the objective row hold y,
+    and the bound is 1 + sum(y).
+    """
+    cap = 3 * r - 1 - n
+    dists = range(r - cap, r)
+    width = cap + r  # the a_d columns, then one slack column per k
+    rows = []
+    for k in range(1, r + 1):
+        row = [Fraction(-_eberlein(n, r, d, k), comb(r, d) * comb(n - r, d))
+               for d in dists]
+        row += [Fraction(int(i == k - 1)) for i in range(r)] + [Fraction(1)]
+        rows.append(row)
+    objective = [Fraction(-1)] * cap + [Fraction(0)] * (r + 1)
+    basis = list(range(cap, width))
+    while True:
+        entering = next((j for j in range(width) if objective[j] < 0), None)
+        if entering is None:
+            break
+        candidates = [(row[-1] / row[entering], basis[i], i)
+                      for i, row in enumerate(rows) if row[entering] > 0]
+        internal_check(bool(candidates), "Delsarte LP is unbounded")
+        _, _, leaving = min(candidates)
+        pivot = rows[leaving]
+        scale = pivot[entering]
+        pivot[:] = [x / scale for x in pivot]
+        for row in rows + [objective]:
+            factor = row[entering]
+            if row is not pivot and factor:
+                row[:] = [x - factor * p for x, p in zip(row, pivot)]
+        basis[leaving] = entering
+    return 1 + objective[-1], objective[cap:width]
 
 
 # --- exact domination solver ---------------------------------------------
@@ -373,18 +440,24 @@ def _to_family(params: KneserParams, masks: list[int], indices) -> VertexFamily:
 
 def _theorem_bound(params: KneserParams,
                    k: int) -> tuple[int, VertexFamily | None]:
-    """Lower bound for every domination kind, and a clique attaining it.
+    """Lower bound for every domination kind, and a family attaining it
+    where the paper's theorems give one.
 
     For k, r >= 2 the paper proves gamma_k = k+r when n >= r(k+r), attained
     by a clique, and gamma_k >= k+r+1 when k+2r <= n < r(k+r). Both bound
-    gamma_xk and gamma_xkt too, as gamma_k <= gamma_xk <= gamma_xkt.
-    K(n,1) is complete with gamma_k = k < k+r, so r = 1 gets no bound.
+    gamma_xk and gamma_xkt too, as gamma_k <= gamma_xk <= gamma_xkt. On the
+    boundary row n = r(k+r)-1, `gamma_kt_boundary` is a k-tuple total
+    dominating set of k+r+1 members, so it is k-tuple and k-dominating too
+    and attains the bound for all three kinds. K(n,1) is complete with
+    gamma_k = k < k+r, so r = 1 gets no bound.
     """
     n, r = params.n, params.r
     if k < 2 or r < 2 or n < k + 2 * r:
         return 1, None
     if n >= r * (k + r):
         return k + r, disjoint_clique(k, r, n)
+    if n == r * (k + r) - 1:
+        return k + r + 1, gamma_kt_boundary(k, r)
     return k + r + 1, None
 
 
@@ -397,10 +470,12 @@ def solve_domination(
     """Exact k-domination / k-tuple / k-tuple total domination number.
 
     For k, r >= 2 and n >= r(k+r) the theorem bound and its clique close the
-    instance before any graph is built. Otherwise iterative deepening from
-    the theorem bound, branch and bound with coverage deficits, first branch
-    vertex fixed to [1..r] by vertex-transitivity. On timeout the bracket
-    reached so far is returned, with the greedy family as its upper bound.
+    instance before any graph is built, and on the boundary row
+    n = r(k+r)-1 the bound k+r+1 and `gamma_kt_boundary` do. Otherwise
+    iterative deepening from the theorem bound, branch and bound with
+    coverage deficits, first branch vertex fixed to [1..r] by
+    vertex-transitivity. On timeout the bracket reached so far is returned,
+    with the greedy family as its upper bound.
     """
     if kind is InvariantKind.TWO_PACKING:
         raise ParameterError("use solve_rho2 for the 2-packing number")
@@ -410,14 +485,7 @@ def solve_domination(
         return SolveResult(None, None, wall_time=time.monotonic() - start)
     lb, witness = _theorem_bound(params, k)
     nodes = 0
-    if witness is not None:
-        # the theorem's optimum is a clique: guard disjoint_clique's blocks
-        internal_check(
-            all(u.mask & v.mask == 0
-                for u, v in combinations(witness.members, 2)),
-            "disjoint_clique returned a family that is not a clique",
-        )
-    else:
+    if witness is None:
         masks = list(params.vertex_masks())
         search = _DominationSearch(masks, kind, k,
                                    _Deadline(start + cfg.timeout))
@@ -463,9 +531,10 @@ class _CliqueSearch:
         self.orbital = orbital
         self.deadline = deadline
         self.nodes = 0
-        # any single vertex is a 2-packing
+        # any single vertex is a 2-packing; a clique of `upper` ends the search
         self.best = 1
         self.best_clique = [0]
+        self.upper = len(compat)
 
     def color_order(self, p_mask: int,
                     kmin: int = 1) -> tuple[list[int], list[int]]:
@@ -499,6 +568,9 @@ class _CliqueSearch:
     def expand(self, clique: list[int], p_mask: int) -> None:
         """Extend `clique` by the candidates `p_mask`.
 
+        A branch is cut when its coloring bound, capped by `upper`, cannot
+        beat `best`; so once `best` reaches `upper` every level returns.
+
         With `orbital` and a clique C of at most _ORBIT_DEPTH members, a
         branch on v, once done, excludes v's whole orbit under G_C, the
         permutations of [n] fixing every member of C; deeper, it excludes v
@@ -518,7 +590,7 @@ class _CliqueSearch:
         orbit = None
         for idx in range(len(order) - 1, -1, -1):
             v = order[idx]
-            if len(clique) + colors[idx] <= self.best:
+            if min(len(clique) + colors[idx], self.upper) <= self.best:
                 return
             if not p_mask >> v & 1:
                 # excluded with an orbit; the colors still bound the rest
@@ -537,15 +609,19 @@ def solve_rho2(params: KneserParams, cfg: SolverConfig | None = None) -> SolveRe
     When no intersection size puts two vertices at distance >= 3 (n >= 3r-1,
     diameter 2) the answer is 1. Inside the band 2r+1 <= n <= 3r-2 the
     occurrence-counting bound forces the value to 3 or 4 in the threshold
-    ranges, with the explicit three- and four-vertex witnesses; these
-    instances close without search. Everything else runs maximum-clique
-    branch and bound on the compatibility graph, bounded above by the greedy
-    coloring at the root. With symmetry breaking the root is the clique
-    [v0], and at every clique C of at most three members a branch on a
-    candidate v, once done, excludes v's orbit under the permutations fixing
-    each member of C (`_CliqueSearch.expand`): they map any packing through
-    C and a vertex of that orbit to a packing through C and v. On timeout
-    the bracket from the largest packing found to that coloring bound is
+    ranges, with the explicit three- and four-vertex witnesses. Elsewhere in
+    the band Delsarte's LP (`delsarte_lp`) bounds the value by its floor,
+    once `check_delsarte_dual` has checked the dual vector that proves it;
+    at n = 3r-3 a recorded packing of that size closes the instance. These
+    instances close without search or graph build. Everything else runs
+    maximum-clique branch and bound on the compatibility graph, bounded
+    above by the LP floor and the greedy coloring at the root, and stops
+    once a packing meets that bound. With symmetry breaking the root is the
+    clique [v0], and at every clique C of at most three members a branch on
+    a candidate v, once done, excludes v's orbit under the permutations
+    fixing each member of C (`_CliqueSearch.expand`): they map any packing
+    through C and a vertex of that orbit to a packing through C and v. On
+    timeout the bracket from the largest packing found to that bound is
     returned.
     """
     cfg = cfg or SolverConfig()
@@ -564,6 +640,16 @@ def solve_rho2(params: KneserParams, cfg: SolverConfig | None = None) -> SolveRe
         return _certified(witness, verify_2_packing(witness),
                           predicted, predicted, 0, start)
 
+    upper = params.vertex_count
+    if n >= 2 * r + 1:
+        bound, dual = delsarte_lp(n, r)
+        check_delsarte_dual(params, dual, bound)
+        upper = floor(bound)
+        if n == 3 * r - 3 and len(TABLE3_PACKINGS.get(r, ())) == upper:
+            witness = table3_packing(r)
+            return _certified(witness, verify_2_packing(witness),
+                              upper, upper, 0, start)
+
     masks = list(params.vertex_masks())
     compat = _relation_bitsets(masks, sizes)
     search = _CliqueSearch(compat, masks, cfg.symmetry_breaking,
@@ -576,10 +662,11 @@ def solve_rho2(params: KneserParams, cfg: SolverConfig | None = None) -> SolveRe
     else:
         root, root_p = [], (1 << len(masks)) - 1
     _, root_colors = search.color_order(root_p)
-    upper = len(root) + (root_colors[-1] if root_colors else 0)
+    upper = min(upper, len(root) + (root_colors[-1] if root_colors else 0))
+    search.upper = upper
     try:
         search.expand(root, root_p)
-        upper = search.best  # the search is exhaustive
+        upper = search.best  # exhaustive, or stopped at the bound
     except _Timeout:
         pass
     witness = _to_family(params, masks, search.best_clique)

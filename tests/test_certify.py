@@ -1,12 +1,14 @@
 """Tests for the certificate checkers."""
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from kneserdom import (
     DefinabilityError,
+    InternalCheckError,
     InvariantKind,
     KneserParams,
     ParameterError,
@@ -15,7 +17,7 @@ from kneserdom import (
     verify,
     verify_2_packing,
 )
-from kneserdom.certify import is_defined
+from kneserdom.certify import check_delsarte_dual, is_defined
 from kneserdom.construct import disjoint_clique, gamma_kt_boundary
 
 from helpers import (
@@ -229,6 +231,28 @@ class TestTwoPacking:
         report = verify_2_packing(fam(12, 5, *sets))
         assert not report.valid
         assert isinstance(report.witness_violation, tuple)
+
+
+class TestDelsarteDual:
+    """`check_delsarte_dual` on hand-made duals of K(15,6), whose LP bound
+    10 the vector (9, 0, 0, 0, 0, 0) proves."""
+
+    PARAMS = KneserParams(15, 6)
+    DUAL = [Fraction(9)] + [Fraction(0)] * 5
+
+    def test_accepts_the_proof(self):
+        check_delsarte_dual(self.PARAMS, self.DUAL, Fraction(10))
+
+    @pytest.mark.parametrize("dual,bound,message", [
+        ([Fraction(9)] + [Fraction(0)] * 4, 10, "not a nonnegative vector"),
+        ([Fraction(10), Fraction(-1)] + [Fraction(0)] * 4, 10,
+         "not a nonnegative vector"),
+        ([Fraction(8)] + [Fraction(0)] * 5, 9, "constraint of distance 4"),
+        ([Fraction(9)] + [Fraction(0)] * 5, 9, "not 1 \\+ the sum"),
+    ])
+    def test_rejects(self, dual, bound, message):
+        with pytest.raises(InternalCheckError, match=message):
+            check_delsarte_dual(self.PARAMS, dual, Fraction(bound))
 
 
 class TestDispatch:

@@ -1,4 +1,5 @@
-"""Property tests: the domination verifier under relabellings of [n]."""
+"""Property tests: the domination verifier under relabellings of [n], and
+the Delsarte dual against its independent check."""
 
 import pytest
 
@@ -6,13 +7,15 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from kneserdom import (
+    InternalCheckError,
     InvariantKind,
     KneserParams,
     Vertex,
     VertexFamily,
     verify,
 )
-from kneserdom.certify import is_defined
+from kneserdom.certify import check_delsarte_dual, is_defined
+from kneserdom.solve import delsarte_lp
 
 from helpers import closed_neighbor_count, open_neighbor_count
 
@@ -71,3 +74,25 @@ def test_relabelling_keeps_the_verdict(case):
     u = Vertex(_relabel(inverse, after.witness_violation.mask))
     assert _is_violation(u, D, kind, k)
     assert _is_violation(before.witness_violation, D, kind, k)
+
+
+@st.composite
+def band_instances(draw):
+    """K(n,r) with r <= 9 inside the band 2r+1 <= n <= 3r-2."""
+    r = draw(st.integers(3, 9))
+    return KneserParams(draw(st.integers(2 * r + 1, 3 * r - 2)), r)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(band_instances())
+def test_delsarte_dual_proves_the_lp_value(params):
+    """The LP's dual passes the check that shares no code with the solve,
+    and proves exactly the LP value; half of it proves nothing, since the
+    dual constraints of the distances the optimum uses are tight."""
+    bound, dual = delsarte_lp(params.n, params.r)
+    assert bound == 1 + sum(dual)
+    check_delsarte_dual(params, dual, bound)
+    half = [y / 2 for y in dual]
+    with pytest.raises(InternalCheckError,
+                       match="^Delsarte dual violates the constraint"):
+        check_delsarte_dual(params, half, 1 + sum(half))

@@ -6,7 +6,9 @@ import subprocess
 import sys
 import textwrap
 import time
+from fractions import Fraction
 from itertools import combinations
+from math import comb, floor
 from pathlib import Path
 
 import pytest
@@ -26,12 +28,14 @@ from kneserdom import (
     VertexFamily,
     solve_domination,
     solve_rho2,
+    table3_packing,
     threshold_prediction_by_n,
     threshold_predictions,
     verify,
     verify_2_packing,
 )
-from kneserdom.certify import packing_intersections
+from kneserdom.certify import check_delsarte_dual, packing_intersections
+from kneserdom.solve import delsarte_lp
 
 from helpers import bron_kerbosch_rho2, brute_force_domination
 
@@ -156,6 +160,23 @@ class TestAsymptoticRegime:
         # n = r(k+r)-1: the k-tuple total number rises to k+r+1
         n = r * (k + r) - 1
         assert dom(n, r, KTT, k).value == k + r + 1
+
+    @pytest.mark.parametrize("k,r", [
+        (k, r) for k in range(2, 8) for r in range(2, 7)
+        if comb(r * (k + r) - 1, r) <= 5_000_000  # the default ceiling
+    ])
+    def test_boundary_row_closes_without_search(self, k, r, monkeypatch):
+        # n = r(k+r)-1: the theorem bound k+r+1 and gamma_kt_boundary close
+        # all three kinds before any graph is built
+        def no_graph(masks, sizes):
+            raise AssertionError("graph built on the boundary row")
+
+        monkeypatch.setattr(kneserdom.solve, "_relation_bitsets", no_graph)
+        n = r * (k + r) - 1
+        for kind in (KD, KT, KTT):
+            res = dom(n, r, kind, k)
+            assert res.optimal and (res.value, res.nodes) == (k + r + 1, 0)
+            assert verify(res.witness, kind, k).valid
 
 
 class TestOracleAgreement:
@@ -552,6 +573,72 @@ class TestRelationBitsets:
             assert kneserdom.solve._relation_bitsets(masks, sizes) == reference
 
 
+# Delsarte's LP bound of K(n,r): exact values, and the floors of K(3r-4, r)
+DELSARTE_VALUES = {
+    (7, 3): Fraction(7),
+    (9, 4): Fraction(27, 2),
+    (10, 4): Fraction(5),
+    (11, 5): Fraction(66),
+    (12, 5): Fraction(264, 19),
+    (15, 6): Fraction(10),
+    (18, 7): Fraction(90, 13),
+    (21, 8): Fraction(63, 11),
+}
+DELSARTE_FLOORS = {(14, 6): 50, (17, 7): 28, (20, 8): 21, (23, 9): 11}
+
+
+class TestDelsarte:
+    """The LP bound and its dual, against the clique search and an oracle
+    that shares no code with either."""
+
+    @pytest.mark.parametrize("n,r", sorted(DELSARTE_VALUES))
+    def test_values(self, n, r):
+        bound, dual = delsarte_lp(n, r)
+        assert bound == DELSARTE_VALUES[n, r]
+        check_delsarte_dual(KneserParams(n, r), dual, bound)
+
+    @pytest.mark.parametrize("n,r", sorted(DELSARTE_FLOORS))
+    def test_floors(self, n, r):
+        assert floor(delsarte_lp(n, r)[0]) == DELSARTE_FLOORS[n, r]
+
+    @pytest.mark.parametrize("n,r", [(7, 3), (10, 4)])
+    def test_floor_is_tight_against_bron_kerbosch(self, n, r):
+        assert floor(delsarte_lp(n, r)[0]) == bron_kerbosch_rho2(
+            KneserParams(n, r))
+
+    @pytest.mark.parametrize("n,r", [(9, 4), (12, 5)])
+    def test_floor_bounds_the_searched_value(self, n, r):
+        # the floor 13 stays above the value 12, so the search is exhaustive
+        res = solve_rho2(KneserParams(n, r), SolverConfig(timeout=600))
+        assert res.optimal and res.nodes > 0
+        assert floor(delsarte_lp(n, r)[0]) >= res.value
+
+    @pytest.mark.parametrize("n,r,value", [(15, 6, 10), (18, 7, 6),
+                                           (21, 8, 5)])
+    def test_recorded_packings_close_without_search(self, n, r, value,
+                                                    monkeypatch):
+        # the recorded packing of K(3r-3, r) meets the LP floor, so rho2 is
+        # closed before any graph is built
+        def no_graph(masks, sizes):
+            raise AssertionError("graph built for a closed 2-packing number")
+
+        monkeypatch.setattr(kneserdom.solve, "_relation_bitsets", no_graph)
+        res = solve_rho2(KneserParams(n, r))
+        assert res.status is SolveStatus.OPTIMAL
+        assert (res.value, res.nodes) == (value, 0)
+        assert res.witness == table3_packing(r)
+
+    @pytest.mark.parametrize("n,r,value,nodes", [(7, 3, 7, 8),
+                                                 (10, 4, 5, 6)])
+    def test_search_stops_at_the_floor(self, n, r, value, nodes):
+        # without the root fixed, the coloring bounds stay above the value,
+        # and the search ends only because a packing meets the LP floor
+        # (16 and 1,939 nodes without that stop)
+        res = solve_rho2(KneserParams(n, r),
+                         SolverConfig(symmetry_breaking=False))
+        assert res.optimal and (res.value, res.nodes) == (value, nodes)
+
+
 class TestTimeout:
     """An expired budget stops at the first deadline check (every 512
     domination nodes, every 256 clique nodes), so these brackets do not
@@ -584,7 +671,8 @@ class TestTimeout:
         res = solve_rho2(KneserParams(11, 5), SolverConfig(timeout=1e-9))
         assert res.status is SolveStatus.BOUNDS
         assert res.value is None
-        assert (res.lower_bound, res.upper_bound, res.nodes) == (52, 121, 256)
+        # the upper bound is the Delsarte floor 66, below the coloring's 121
+        assert (res.lower_bound, res.upper_bound, res.nodes) == (52, 66, 256)
         assert len(res.witness) == res.lower_bound
         assert verify_2_packing(res.witness).valid
 
@@ -612,7 +700,10 @@ def _always_invalid(family, kind=InvariantKind.TWO_PACKING, k=0):
     pytest.param(lambda: dom(8, 3, KD, 2, timeout=1e-9),
                  id="domination-bracket"),
     pytest.param(lambda: solve_rho2(KneserParams(8, 3)), id="diameter-two"),
+    pytest.param(lambda: dom(7, 2, KD, 2), id="boundary-row"),
     pytest.param(lambda: solve_rho2(KneserParams(24, 9)), id="threshold"),
+    pytest.param(lambda: solve_rho2(KneserParams(15, 6)),
+                 id="delsarte-closure"),
     pytest.param(lambda: solve_rho2(KneserParams(7, 3)), id="clique-search"),
     pytest.param(lambda: solve_rho2(KneserParams(11, 5),
                                     SolverConfig(timeout=1e-9)),
@@ -627,9 +718,21 @@ def test_every_witness_exit_is_checked(monkeypatch, solve):
         solve()
 
 
+def _run_under_optimize(script: str) -> str:
+    """The stdout of `script` run by python -O, which strips asserts."""
+    src = str(Path(kneserdom.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", textwrap.dedent(script)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 def test_witness_check_runs_under_optimize():
     """An invalid witness raises even when python -O strips asserts."""
-    script = textwrap.dedent("""
+    out = _run_under_optimize("""
         if __debug__:
             raise SystemExit("not running under -O")
         import kneserdom.solve as solve
@@ -649,11 +752,32 @@ def test_witness_check_runs_under_optimize():
         else:
             print("returned", res.status.value, res.value)
     """)
-    src = str(Path(kneserdom.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "raised: solver produced an invalid witness"
+    assert out == "raised: solver produced an invalid witness"
+
+
+def test_delsarte_check_runs_under_optimize():
+    """A Delsarte dual that proves nothing stops the solve before its bound
+    is used, even when python -O strips asserts. Half the dual of K(15,6),
+    with its bound restated, breaks only the tight constraint of distance 4."""
+    out = _run_under_optimize("""
+        if __debug__:
+            raise SystemExit("not running under -O")
+        import kneserdom.solve as solve
+        from kneserdom import InternalCheckError, KneserParams
+
+        lp = solve.delsarte_lp
+
+        def corrupted(n, r):
+            bound, dual = lp(n, r)
+            half = [y / 2 for y in dual]
+            return 1 + sum(half), half
+
+        solve.delsarte_lp = corrupted
+        try:
+            res = solve.solve_rho2(KneserParams(15, 6))
+        except InternalCheckError as exc:
+            print("raised:", exc)
+        else:
+            print("returned", res.status.value, res.value)
+    """)
+    assert out == "raised: Delsarte dual violates the constraint of distance 4"
