@@ -7,7 +7,6 @@ from .certify import (
     verify_2_packing,
 )
 from .construct import (
-    NormalizationError,
     TABLE3_PACKINGS,
     diagonal_lift,
     disjoint_clique,
@@ -53,7 +52,6 @@ __all__ = [
     "InternalCheckError",
     "InvariantKind",
     "KneserParams",
-    "NormalizationError",
     "ParameterError",
     "SolveResult",
     "SolveStatus",

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from math import comb
+from typing import TYPE_CHECKING
 
 from .core import (
     DefinabilityError,
@@ -23,6 +23,9 @@ from .core import (
     VertexFamily,
     internal_check,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class InvariantKind(Enum):
@@ -211,7 +214,7 @@ def check_delsarte_dual(params: KneserParams, dual: list[Fraction],
     internal_check(len(dual) == r and min(dual) >= 0,
                    "Delsarte dual is not a nonnegative vector of length r")
     for d in (r - size for size in packing_intersections(params)):
-        total = Fraction(0)
+        total = 0
         for k, y in enumerate(dual, 1):
             eberlein = sum((-1) ** j * comb(k, j) * comb(r - k, d - j)
                            * comb(n - r - k, d - j) for j in range(d + 1))

@@ -20,10 +20,6 @@ from .core import (
 )
 
 
-class NormalizationError(RuntimeError):
-    """The rewrite loop could not make progress (should be unreachable in range)."""
-
-
 def _interval(lo: int, hi: int) -> list[int]:
     """Closed 1-based interval [lo..hi]; empty when lo > hi."""
     return list(range(lo, hi + 1))
@@ -176,11 +172,9 @@ def _x1_elements(member: Vertex, occurrences: tuple[int, ...]) -> list[int]:
 
 
 def _take(pool: list[int], count: int, x: int) -> list[int]:
-    if len(pool) < count:
-        raise NormalizationError(
-            f"needed {count} singly-occurring elements to rewrite around "
-            f"element {x}, found only {len(pool)}"
-        )
+    internal_check(len(pool) >= count,
+                   f"needed {count} singly-occurring elements to rewrite "
+                   f"around element {x}, found only {len(pool)}")
     return pool[:count]
 
 
@@ -258,17 +252,15 @@ def normalize_packing(S: VertexFamily) -> VertexFamily:
     over = sum(1 for c in occ if c >= 3)
     steps = 0
     while over > 0:
-        if steps >= n:
-            raise NormalizationError("rewrite loop exceeded n steps without converging")
+        internal_check(steps < n,
+                       "rewrite loop exceeded n steps without converging")
         x = min(x for x in range(1, n + 1) if occ[x - 1] >= 3)
         members = _rewrite_step(members, occ, x)
         family = VertexFamily(S.params, tuple(members))
         occ = family.occurrences
         new_over = sum(1 for c in occ if c >= 3)
-        if new_over >= over:
-            raise NormalizationError(
-                f"rewrite around element {x} did not reduce over-occurring elements"
-            )
+        internal_check(new_over < over, f"rewrite around element {x} did not "
+                                        "reduce over-occurring elements")
         over = new_over
         steps += 1
     return VertexFamily(S.params, tuple(members))

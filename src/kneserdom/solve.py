@@ -6,14 +6,14 @@ vertex subsets, which cuts a node when the largest gains (deficit removed per
 vertex) of as many free vertices as may still be chosen cannot cover the
 deficit left; the 2-packing number by maximum-clique branch and bound
 on the pairwise-compatibility graph (pairs at distance >= 3), with closed-form
-shortcuts where the value is forced: diameter-2 graphs, and the threshold
-ranges where counting the occurrences of elements in a normalized packing
-pins the value to 3 or 4. Elsewhere in the band 2r+1 <= n <= 3r-2 the floor
-of Delsarte's LP over the Johnson scheme, solved exactly in fractions and
-proved by a dual vector that `certify` checks, caps the clique search, or
-closes the instance at once when a recorded packing meets it. On the
-paper's boundary row n = r(k+r)-1 the domination numbers close by the
-theorem bound k+r+1 and the `gamma_kt_boundary` family.
+shortcuts where the value is forced: diameter-2 graphs, the perfect matching
+K(2r,r), and the threshold ranges where counting the occurrences of elements
+in a normalized packing pins the value to 3 or 4. Elsewhere in the band
+2r+1 <= n <= 3r-2 the floor of Delsarte's LP over the Johnson scheme, solved
+exactly in fractions and proved by a dual vector that `certify` checks,
+bounds the clique search, or closes the instance when a recorded packing
+meets it. On the paper's boundary row n = r(k+r)-1 the domination numbers
+close by the theorem bound k+r+1 and the `gamma_kt_boundary` family.
 
 Both graphs relate two vertices by the size of their intersection: 0 for
 K(n,r) itself, `packing_intersections` for the compatibility graph. One
@@ -41,8 +41,8 @@ import time
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from math import comb, floor
+from typing import TYPE_CHECKING
 
 from .certify import (
     InvariantKind,
@@ -70,6 +70,9 @@ from .construct import (
     rho4_witness,
     table3_packing,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class SolveStatus(Enum):
@@ -249,6 +252,7 @@ def delsarte_lp(n: int, r: int) -> tuple[Fraction, list[Fraction]]:
     cycle. At the optimum the slack columns of the objective row hold y,
     and the bound is 1 + sum(y).
     """
+    from fractions import Fraction  # loads decimal: only the LP pays for it
     cap = 3 * r - 1 - n
     dists = range(r - cap, r)
     width = cap + r  # the a_d columns, then one slack column per k
@@ -524,8 +528,8 @@ class _CliqueSearch:
     """Tomita-style maximum clique with greedy-coloring bounds, and orbital
     branching at the shallow cliques when `orbital` is set."""
 
-    def __init__(self, compat: list[int], masks: list[int], orbital: bool,
-                 deadline: _Deadline):
+    def __init__(self, compat: list[int], masks: list[int], upper: int,
+                 orbital: bool, deadline: _Deadline):
         self.compat = compat
         self.masks = masks
         self.orbital = orbital
@@ -534,10 +538,10 @@ class _CliqueSearch:
         # any single vertex is a 2-packing; a clique of `upper` ends the search
         self.best = 1
         self.best_clique = [0]
-        self.upper = len(compat)
+        self.upper = upper
 
     def color_order(self, p_mask: int,
-                    kmin: int = 1) -> tuple[list[int], list[int]]:
+                    kmin: int) -> tuple[list[int], list[int]]:
         """Class-by-class greedy coloring: the vertices of color >= kmin in
         coloring order, and their 1-based colors.
 
@@ -607,22 +611,22 @@ def solve_rho2(params: KneserParams, cfg: SolverConfig | None = None) -> SolveRe
     """Exact 2-packing number of K(n,r).
 
     When no intersection size puts two vertices at distance >= 3 (n >= 3r-1,
-    diameter 2) the answer is 1. Inside the band 2r+1 <= n <= 3r-2 the
-    occurrence-counting bound forces the value to 3 or 4 in the threshold
-    ranges, with the explicit three- and four-vertex witnesses. Elsewhere in
-    the band Delsarte's LP (`delsarte_lp`) bounds the value by its floor,
-    once `check_delsarte_dual` has checked the dual vector that proves it;
-    at n = 3r-3 a recorded packing of that size closes the instance. These
-    instances close without search or graph build. Everything else runs
-    maximum-clique branch and bound on the compatibility graph, bounded
-    above by the LP floor and the greedy coloring at the root, and stops
-    once a packing meets that bound. With symmetry breaking the root is the
-    clique [v0], and at every clique C of at most three members a branch on
-    a candidate v, once done, excludes v's orbit under the permutations
-    fixing each member of C (`_CliqueSearch.expand`): they map any packing
-    through C and a vertex of that orbit to a packing through C and v. On
-    timeout the bracket from the largest packing found to that bound is
-    returned.
+    diameter 2) the answer is 1. K(2r,r) is a perfect matching, and the
+    r-sets through element 1 attain its value C(2r,r)/2. Inside the band
+    2r+1 <= n <= 3r-2 the occurrence-counting bound forces the value to 3 or
+    4 in the threshold ranges, with explicit witnesses. Elsewhere in the
+    band, once the vertices are enumerated, Delsarte's LP (`delsarte_lp`)
+    bounds the value by its floor, after `check_delsarte_dual` has checked
+    the dual vector that proves it; at n = 3r-3 a recorded packing of that
+    size closes the instance. These instances close without search or graph
+    build. Everything else runs maximum-clique branch and bound on the
+    compatibility graph, whose one upper bound is the LP floor, and stops
+    once a packing meets it. With symmetry breaking the root is the clique
+    [v0], and at every clique C of at most three members a branch on a
+    candidate v, once done, excludes v's orbit under the permutations fixing
+    each member of C (`_CliqueSearch.expand`): they map any packing through
+    C and a vertex of that orbit to a packing through C and v. On timeout it
+    returns the bracket from the largest packing found to that bound.
     """
     cfg = cfg or SolverConfig()
     start = time.monotonic()
@@ -633,6 +637,14 @@ def solve_rho2(params: KneserParams, cfg: SolverConfig | None = None) -> SolveRe
         witness = VertexFamily(params, (Vertex((1 << r) - 1),))
         return _certified(witness, verify_2_packing(witness), 1, 1, 0, start)
 
+    if n == 2 * r:
+        # a perfect matching: a 2-packing holds one end of each edge at most,
+        # and the r-sets through element 1 hold one end of every edge
+        witness = VertexFamily(params, tuple(
+            Vertex(m) for m in params.vertex_masks() if m & 1))
+        return _certified(witness, verify_2_packing(witness),
+                          len(witness), len(witness), 0, start)
+
     predicted = threshold_prediction_by_n(n, r)
     if predicted is not None:
         t = 3 * r - n
@@ -640,30 +652,24 @@ def solve_rho2(params: KneserParams, cfg: SolverConfig | None = None) -> SolveRe
         return _certified(witness, verify_2_packing(witness),
                           predicted, predicted, 0, start)
 
-    upper = params.vertex_count
-    if n >= 2 * r + 1:
-        bound, dual = delsarte_lp(n, r)
-        check_delsarte_dual(params, dual, bound)
-        upper = floor(bound)
-        if n == 3 * r - 3 and len(TABLE3_PACKINGS.get(r, ())) == upper:
-            witness = table3_packing(r)
-            return _certified(witness, verify_2_packing(witness),
-                              upper, upper, 0, start)
-
     masks = list(params.vertex_masks())
-    compat = _relation_bitsets(masks, sizes)
-    search = _CliqueSearch(compat, masks, cfg.symmetry_breaking,
-                           _Deadline(start + cfg.timeout))
+    bound, dual = delsarte_lp(n, r)
+    check_delsarte_dual(params, dual, bound)
+    upper = floor(bound)
+    if n == 3 * r - 3 and len(TABLE3_PACKINGS.get(r, ())) == upper:
+        witness = table3_packing(r)
+        return _certified(witness, verify_2_packing(witness),
+                          upper, upper, 0, start)
 
+    compat = _relation_bitsets(masks, sizes)
+    search = _CliqueSearch(compat, masks, upper, cfg.symmetry_breaking,
+                           _Deadline(start + cfg.timeout))
     # Any maximum 2-packing maps, by vertex-transitivity, to one containing
     # the colex-first vertex, so search only extensions of it.
     if cfg.symmetry_breaking:
         root, root_p = [0], compat[0]
     else:
         root, root_p = [], (1 << len(masks)) - 1
-    _, root_colors = search.color_order(root_p)
-    upper = min(upper, len(root) + (root_colors[-1] if root_colors else 0))
-    search.upper = upper
     try:
         search.expand(root, root_p)
         upper = search.best  # exhaustive, or stopped at the bound

@@ -72,6 +72,17 @@ class TestCompute:
         assert code == EXIT_OK
         assert "status: undefined" in out
 
+    def test_rho2_perfect_matching(self, capsys):
+        # K(14,7) has 3,432 vertices joined in pairs; it closes at half of
+        # them without a search
+        code, out, _ = run(
+            capsys, "compute", "--invariant", "rho2",
+            "--n", "14", "--r", "7", "--format", "json",
+        )
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert (doc["value"], doc["nodes"]) == (1716, 0)
+
     def test_timeout_exit_code(self, capsys):
         code, out, _ = run(
             capsys, "compute", "--invariant", "rho2",

@@ -257,6 +257,10 @@ def _family(n, r, sets):
     pytest.param(lambda: dom(8, 2, KD, 2), None, id="clique-closure"),
     pytest.param(lambda: solve_rho2(KneserParams(7, 3)), None,
                  id="rho2-search"),
+    pytest.param(lambda: solve_rho2(KneserParams(15, 6)), None,
+                 id="rho2-recorded-closure"),
+    pytest.param(lambda: solve_rho2(KneserParams(6, 3)), None,
+                 id="rho2-matching"),
     pytest.param(
         lambda: verify(_family(6, 2, [[1, 2], [3, 4], [5, 6]]), KD, 2),
         None, id="domination-verifier"),
@@ -304,7 +308,24 @@ class TestRho2:
         assert len(res.witness) == 7
         assert verify_2_packing(res.witness).valid
 
-    @pytest.mark.parametrize("n,r", [(6, 3), (7, 3), (10, 4)])
+    @pytest.mark.parametrize("r", range(2, 8))
+    def test_matching_closes_without_search(self, r, monkeypatch):
+        # K(2r,r) is a perfect matching, so rho2 is half its vertices,
+        # attained by the r-sets that contain element 1
+        def no_graph(masks, sizes):
+            raise AssertionError("graph built for a perfect matching")
+
+        monkeypatch.setattr(kneserdom.solve, "_relation_bitsets", no_graph)
+        params = KneserParams(2 * r, r)
+        res = solve_rho2(params)
+        assert res.status is SolveStatus.OPTIMAL
+        assert (res.value, res.nodes) == (comb(2 * r, r) // 2, 0)
+        assert all(1 in member.elements for member in res.witness)
+        if r <= 3:
+            # against a search that shares no code with the closed form
+            assert res.value == bron_kerbosch_rho2(params)
+
+    @pytest.mark.parametrize("n,r", [(7, 3), (10, 4)])
     def test_orbit_search_agrees_with_bron_kerbosch(self, n, r):
         # the orbit rule against a search with no symmetry and no shared
         # code: a rule that excludes too much lowers the value found
@@ -639,6 +660,18 @@ class TestDelsarte:
         assert res.optimal and (res.value, res.nodes) == (value, nodes)
 
 
+def test_lp_runs_behind_the_ceiling(monkeypatch):
+    """The LP bound is solved only once the vertices are enumerated, so an
+    instance above the ceiling stops there before paying for it."""
+    def no_lp(n, r):
+        raise AssertionError("Delsarte LP solved above the vertex ceiling")
+
+    monkeypatch.setattr(kneserdom.solve, "delsarte_lp", no_lp)
+    monkeypatch.setenv("KNESERDOM_VERTEX_CEILING", "10")
+    with pytest.raises(CapacityError, match="exceeding the ceiling of 10"):
+        solve_rho2(KneserParams(7, 3))
+
+
 class TestTimeout:
     """An expired budget stops at the first deadline check (every 512
     domination nodes, every 256 clique nodes), so these brackets do not
@@ -700,6 +733,7 @@ def _always_invalid(family, kind=InvariantKind.TWO_PACKING, k=0):
     pytest.param(lambda: dom(8, 3, KD, 2, timeout=1e-9),
                  id="domination-bracket"),
     pytest.param(lambda: solve_rho2(KneserParams(8, 3)), id="diameter-two"),
+    pytest.param(lambda: solve_rho2(KneserParams(6, 3)), id="matching"),
     pytest.param(lambda: dom(7, 2, KD, 2), id="boundary-row"),
     pytest.param(lambda: solve_rho2(KneserParams(24, 9)), id="threshold"),
     pytest.param(lambda: solve_rho2(KneserParams(15, 6)),

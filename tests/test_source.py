@@ -1,6 +1,9 @@
 """Checks on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import kneserdom
@@ -31,40 +34,49 @@ def test_no_assert_statements():
     assert found == []
 
 
-def _definitions(body, prefix=""):
-    """(qualified name, name) of every function, method and class in `body`."""
+def _definitions(body, prefix="", in_class=False):
+    """(qualified name, name, whether a class member) of every function,
+    method and class in `body`."""
     for node in body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
-            yield prefix + node.name, node.name
-            yield from _definitions(node.body, f"{prefix}{node.name}.")
+            yield prefix + node.name, node.name, in_class
+            yield from _definitions(node.body, f"{prefix}{node.name}.",
+                                    isinstance(node, ast.ClassDef))
 
 
 def _references(tree):
-    """Every name a module uses: names, attributes, imported names and the
-    dotted parts of string constants, which monkeypatching refers by."""
+    """(name, whether as an attribute) of every name a module uses: names
+    and imported names are bare; attributes and the dotted parts of string
+    constants, which monkeypatching refers by, are attributes."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id
+            yield node.id, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            yield node.attr, True
         elif isinstance(node, ast.alias):
-            yield from node.name.split(".")
+            for part in node.name.split("."):
+                yield part, False
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield from node.value.split(".")
+            for part in node.value.split("."):
+                yield part, True
 
 
 def test_every_definition_is_used():
     """A function, method or class that no module of the package refers to
-    is dead code. Tests and re-exports do not count: code that only the
-    tests call, such as an oracle, lives under tests/."""
+    is dead code. A class member counts as used only when referred to as an
+    attribute, since a bare name of the same spelling, such as a local
+    variable, does not reach it. Tests and re-exports do not count: code
+    that only the tests call, such as an oracle, lives under tests/."""
     sources = _trees(SOURCES)
-    used = {name for tree in _trees(CALLERS) for name in _references(tree)}
+    refs = [ref for tree in _trees(CALLERS) for ref in _references(tree)]
+    used = {name for name, _ in refs}
+    as_attribute = {name for name, attribute in refs if attribute}
     dead = [
         f"{path.name}:{qualified}"
         for path, tree in zip(SOURCES, sources)
-        for qualified, name in _definitions(tree.body)
-        if name not in used
+        for qualified, name, member in _definitions(tree.body)
+        if name not in (as_attribute if member else used)
         and not (name.startswith("__") and name.endswith("__"))
         and qualified not in CALLED_BY_FRAMEWORK
     ]
@@ -77,6 +89,21 @@ def test_capacity_is_checked_only_in_core():
     outside = [
         path.name
         for path, tree in zip(SOURCES, _trees(SOURCES))
-        if path.name != "core.py" and "check_capacity" in _references(tree)
+        if path.name != "core.py"
+        and "check_capacity" in {name for name, _ in _references(tree)}
     ]
     assert outside == []
+
+
+def test_cli_import_leaves_out_fractions():
+    """`fractions`, which loads `decimal`, is imported only by the LP that
+    needs it, so a domination-only run never loads it."""
+    src = str(Path(kneserdom.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, kneserdom.cli; print('fractions' in sys.modules)"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
