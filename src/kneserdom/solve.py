@@ -2,18 +2,21 @@
 
 Domination numbers close by the theorem bound and a disjoint clique when
 n >= r(k+r), and otherwise by iterative deepening with branch and bound over
-vertex subsets, which cuts a node when the largest gains (deficit removed per
+vertex subsets. It cuts a node when the largest gains (deficit removed per
 vertex) of as many free vertices as may still be chosen cannot cover the
-deficit left; the 2-packing number by maximum-clique branch and bound
-on the pairwise-compatibility graph (pairs at distance >= 3), with closed-form
-shortcuts where the value is forced: diameter-2 graphs, the perfect matching
-K(2r,r), and the threshold ranges where counting the occurrences of elements
-in a normalized packing pins the value to 3 or 4. Elsewhere in the band
-2r+1 <= n <= 3r-2 the floor of Delsarte's LP over the Johnson scheme, solved
-exactly in fractions and proved by a dual vector that `certify` checks,
-bounds the clique search, or closes the instance when a recorded packing
-meets it. On the paper's boundary row n = r(k+r)-1 the domination numbers
-close by the theorem bound k+r+1 and the `gamma_kt_boundary` family.
+deficit left, or when some vertex's free helpers cannot cover its own
+deficit (negative slack), and otherwise branches over the helpers of the
+vertex with the least slack. The 2-packing number closes by maximum-clique
+branch and bound on the pairwise-compatibility graph (pairs at distance
+>= 3), with closed-form shortcuts where the value is forced: diameter-2
+graphs, the perfect matching K(2r,r), and the threshold ranges where
+counting the occurrences of elements in a normalized packing pins the value
+to 3 or 4. Elsewhere in the band 2r+1 <= n <= 3r-2 the floor of Delsarte's
+LP over the Johnson scheme, solved exactly in fractions and proved by a dual
+vector that `certify` checks, bounds the clique search, or closes the
+instance when a recorded packing meets it. On the paper's boundary row
+n = r(k+r)-1 the domination numbers close by the theorem bound k+r+1 and the
+`gamma_kt_boundary` family.
 
 Both graphs relate two vertices by the size of their intersection: 0 for
 K(n,r) itself, `packing_intersections` for the compatibility graph. One
@@ -27,7 +30,10 @@ of at most three members. The orbits come from intersection sizes with the
 Venn atoms of the fixed sets.
 
 A solver's budget counts from the start of the solve, graph build included,
-and is checked inside the search. A solver result is the bracket
+and is checked inside the search and inside the compatibility graph's build,
+which on expiry leaves the bracket [1, LP floor]. The domination graph's
+build is not checked, as the greedy family that gives its bracket an upper
+bound needs the whole graph. A solver result is the bracket
 [lower_bound, upper_bound] it proved, and its status and value follow from
 that bracket. Every witness a solver returns, whether the bracket closed or
 a deadline stopped the search, passes its verifier on the way out; the
@@ -168,7 +174,8 @@ def _orbits(masks: list[int], sets: list[int]) -> list[int]:
     return [classes[key] for key in keys]
 
 
-def _relation_bitsets(masks: list[int], sizes: Iterable[int]) -> list[int]:
+def _relation_bitsets(masks: list[int], sizes: Iterable[int],
+                      deadline: _Deadline | None = None) -> list[int]:
     """related[i]: the bitset of the j with |masks[i] & masks[j]| in `sizes`;
     sizes below r leave out i itself.
 
@@ -176,6 +183,7 @@ def _relation_bitsets(masks: list[int], sizes: Iterable[int]) -> list[int]:
     x, and a bit-sliced counter adds the r of them belonging to one vertex u,
     so bit j of slice k is binary digit k of |u & masks[j]| for every j at
     once. Each allowed size then selects the bits whose digits spell it.
+    A `deadline` is checked every 64 rows, the first row included.
     """
     contains = [0] * max(masks).bit_length()
     for v, m in enumerate(masks):
@@ -184,7 +192,9 @@ def _relation_bitsets(masks: list[int], sizes: Iterable[int]) -> list[int]:
     full = (1 << len(masks)) - 1
     depth = masks[0].bit_count().bit_length()
     related = []
-    for m in masks:
+    for i, m in enumerate(masks):
+        if deadline and i % 64 == 0:
+            deadline.check()
         count = [0] * depth
         for x in _bits(m):
             carry = contains[x]
@@ -324,6 +334,31 @@ class _DominationSearch:
         gains.sort(reverse=True)
         return sum(gains[:remaining])
 
+    def _target(self, banned: int) -> int | None:
+        """The needy vertex of least slack, the lowest on a tie, or None when
+        some needy vertex has negative slack.
+
+        slack(u) is u's supply minus d[u]: the free helpers of u, counting u
+        itself, if free, as min(credit, d[u]). Choosing every free vertex
+        leaves u a deficit exactly when its slack is negative, so no
+        extension of the current state is valid then.
+        """
+        free = ~(self.chosen_bits | banned)
+        d, credit, helpers = self.deficits, self.credit, self.helpers
+        count = int.bit_count
+        target, least = None, self.V  # every slack is below V
+        for u in _bits(self.needy):
+            avail = helpers[u] & free
+            supply = count(avail)
+            if avail >> u & 1:
+                supply += min(credit, d[u]) - 1
+            slack = supply - d[u]
+            if slack < 0:
+                return None
+            if slack < least:
+                target, least = u, slack
+        return target
+
     def _reset(self) -> None:
         self.deficits = [self.k] * self.V
         self.total = self.k * self.V
@@ -398,8 +433,11 @@ class _DominationSearch:
 
         Sorted-gain bound: a node whose deficit total exceeds `_gain_bound`
         is cut; remaining * max_gain, which bounds that sum, is tested first
-        as it costs O(1). A cut subtree holds no solution, so the search
-        finds the same first family as without the bound.
+        as it costs O(1). A node where some needy vertex has negative slack
+        is cut too (`_target`). A cut subtree holds no solution, so the
+        search finds the same first family as without the cuts. Otherwise
+        the node branches over the free helpers of the needy vertex with the
+        least slack (fail first), as every valid extension chooses one.
         """
         self.nodes += 1
         if self.nodes % 512 == 0:
@@ -412,18 +450,10 @@ class _DominationSearch:
             return None
         if self._gain_bound(remaining, banned) < self.total:
             return None
-        # branch on the vertex with the largest remaining demand
-        target, best_d = -1, 0
-        d = self.deficits
-        for u in range(self.V):
-            if d[u] > best_d:
-                target, best_d = u, d[u]
-        avail = self.helpers[target] & ~self.chosen_bits & ~banned
-        supply = (avail & ~(1 << target)).bit_count()
-        if avail >> target & 1:
-            supply += min(self.credit, best_d)
-        if supply < best_d:
+        target = self._target(banned)
+        if target is None:
             return None
+        avail = self.helpers[target] & ~self.chosen_bits & ~banned
         orbit = (_orbits(self.masks, [self.masks[0], self.masks[target]])
                  if orbital else None)
         for v in _bits(avail):
@@ -661,9 +691,15 @@ def solve_rho2(params: KneserParams, cfg: SolverConfig | None = None) -> SolveRe
         return _certified(witness, verify_2_packing(witness),
                           upper, upper, 0, start)
 
-    compat = _relation_bitsets(masks, sizes)
+    deadline = _Deadline(start + cfg.timeout)
+    try:
+        compat = _relation_bitsets(masks, sizes, deadline)
+    except _Timeout:
+        witness = _to_family(params, masks, [0])
+        return _certified(witness, verify_2_packing(witness), 1, upper, 0,
+                          start)
     search = _CliqueSearch(compat, masks, upper, cfg.symmetry_breaking,
-                           _Deadline(start + cfg.timeout))
+                           deadline)
     # Any maximum 2-packing maps, by vertex-transitivity, to one containing
     # the colex-first vertex, so search only extensions of it.
     if cfg.symmetry_breaking:

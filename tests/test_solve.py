@@ -393,9 +393,9 @@ class TestRho2:
 
 
 @pytest.mark.parametrize("n,kind,k,nodes", [
-    (7, KD, 2, 4_150),
-    (7, KTT, 1, 1_886),
-    (8, KTT, 1, 1_858),
+    (7, KD, 2, 1_731),
+    (7, KTT, 1, 1_508),
+    (8, KTT, 1, 1_550),
 ])
 def test_orbit_rule_keeps_domination_value(n, kind, k, nodes):
     """Orbital branching at the first free level finds the same optimum as
@@ -412,7 +412,17 @@ def test_gamma2_k83_closes_at_12():
     above the run time, so the result does not depend on machine speed."""
     res = dom(8, 3, KD, 2, timeout=600)
     assert res.optimal and res.value == 12
-    assert res.nodes == 351_977
+    assert res.nodes == 69_999
+    assert verify(res.witness, KD, 2).valid
+
+
+def test_gamma2_k93_closes_at_10():
+    """gamma_2(K(9,3)) = 10: the search exhausts every size from the
+    theorem bound 6 up to 9, then finds a family of 10, under the same
+    budget margin as K(8,3)."""
+    res = dom(9, 3, KD, 2, timeout=600)
+    assert res.optimal and res.value == 10
+    assert res.nodes == 70_224
     assert verify(res.witness, KD, 2).valid
 
 
@@ -477,6 +487,56 @@ class TestSortedGainBound:
             assert search.needy == sum(1 << u for u in range(search.V)
                                        if d[u] > 0)
             assert search.total == sum(d)
+
+
+class TestSlackCut:
+    """`_DominationSearch._target` cuts (returns None) exactly when choosing
+    every free vertex still leaves some vertex a deficit, on seeded random
+    partial states. Otherwise it returns the needy vertex of least slack,
+    the lowest on a tie, where a vertex's slack is the deficit that the free
+    vertices, each chosen alone, would remove from it, minus its deficit."""
+
+    @pytest.mark.parametrize("n,r", [(6, 2), (7, 3)])
+    @pytest.mark.parametrize("kind,k", [(KD, 2), (KT, 2), (KTT, 1)])
+    def test_cuts_exactly_when_every_free_vertex_falls_short(self, n, r,
+                                                              kind, k):
+        rng = random.Random(f"slack,{n},{r},{kind.name},{k}")
+        search = _search(n, r, kind, k)
+        V = search.V
+        outcomes = set()
+        for _ in range(40):
+            search._reset()
+            for v in rng.sample(range(V), rng.randrange(5)):
+                search._choose(v)
+            if search.total == 0:
+                continue  # `_dfs` returns before it asks for a target
+            p_ban = rng.choice([0.2, 0.5, 0.8])
+            banned = sum(1 << v for v in range(V)
+                         if not search.chosen_bits >> v & 1
+                         and rng.random() < p_ban)
+            free = [v for v in range(V)
+                    if not (search.chosen_bits | banned) >> v & 1]
+            before = _state(search)
+            d = before[0]
+            slack = {u: -d[u] for u in range(V) if d[u] > 0}
+            for v in free:
+                log = search._choose(v)
+                for u in slack:
+                    slack[u] += d[u] - search.deficits[u]
+                search._unchoose_log(v, log)
+            logs = [(v, search._choose(v)) for v in free]
+            falls_short = search.total > 0
+            for v, log in reversed(logs):
+                search._unchoose_log(v, log)
+            assert _state(search) == before
+            target = search._target(banned)
+            assert _state(search) == before
+            outcomes.add(falls_short)
+            if falls_short:
+                assert target is None
+            else:
+                assert target == min(slack, key=lambda u: (slack[u], u))
+        assert outcomes == {True, False}  # both sides of the cut were tested
 
 
 def _atoms(n, sets):
@@ -674,8 +734,9 @@ def test_lp_runs_behind_the_ceiling(monkeypatch):
 
 class TestTimeout:
     """An expired budget stops at the first deadline check (every 512
-    domination nodes, every 256 clique nodes), so these brackets do not
-    depend on the speed of the machine."""
+    domination nodes, every 256 clique nodes, every 64 rows of the
+    compatibility graph's build), so these brackets do not depend on the
+    speed of the machine."""
 
     def test_domination_timeout_returns_bracket(self):
         res = dom(10, 3, KTT, 3, timeout=1e-9)
@@ -690,8 +751,8 @@ class TestTimeout:
         # that outlasts it stops the search at its first deadline check
         build = kneserdom.solve._relation_bitsets
 
-        def slow_build(masks, sizes):
-            compat = build(masks, sizes)
+        def slow_build(masks, sizes, deadline):
+            compat = build(masks, sizes, deadline)
             time.sleep(0.1)
             return compat
 
@@ -701,11 +762,12 @@ class TestTimeout:
         assert res.nodes == 256
 
     def test_rho2_timeout_returns_bracket(self):
+        # the build checks the deadline at its first row, so the bracket is
+        # one vertex up to the Delsarte floor 66, with no search node
         res = solve_rho2(KneserParams(11, 5), SolverConfig(timeout=1e-9))
         assert res.status is SolveStatus.BOUNDS
         assert res.value is None
-        # the upper bound is the Delsarte floor 66, below the coloring's 121
-        assert (res.lower_bound, res.upper_bound, res.nodes) == (52, 66, 256)
+        assert (res.lower_bound, res.upper_bound, res.nodes) == (1, 66, 0)
         assert len(res.witness) == res.lower_bound
         assert verify_2_packing(res.witness).valid
 
