@@ -26,7 +26,7 @@ With symmetry breaking both searches fix the colex-first vertex v0, as the
 symmetric group acts vertex-transitively, and branch on one vertex per orbit
 of the permutations fixing what is already chosen (orbital branching): the
 domination search at the level after v0, the clique search at every clique
-of at most three members. The orbits come from intersection sizes with the
+of at most four members. The orbits come from intersection sizes with the
 Venn atoms of the fixed sets.
 
 A solver's budget counts from the start of the solve, graph build included,
@@ -155,9 +155,10 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _orbits(masks: list[int], sets: list[int]) -> list[int]:
-    """orbit[v]: the bitset of v's orbit under the permutations of [n] that
-    fix each set in `sets` setwise.
+def _orbits(masks: list[int], sets: list[int], among: int) -> dict[int, int]:
+    """orbit[v] for each v in the bitset `among`: the bitset of the members of
+    `among` in v's orbit under the permutations of [n] that fix each set in
+    `sets` setwise.
 
     Those permutations are the ones that map each Venn atom of the sets onto
     itself (`venn_atoms`), so an r-set's orbit is fixed by how many elements
@@ -165,13 +166,12 @@ def _orbits(masks: list[int], sets: list[int]) -> list[int]:
     determines it.
     """
     atoms = venn_atoms(sets).values()
+    keys = {v: tuple((masks[v] & atom).bit_count() for atom in atoms)
+            for v in _bits(among)}
     classes: dict[tuple[int, ...], int] = {}
-    keys = []
-    for v, m in enumerate(masks):
-        key = tuple((m & atom).bit_count() for atom in atoms)
+    for v, key in keys.items():
         classes[key] = classes.get(key, 0) | 1 << v
-        keys.append(key)
-    return [classes[key] for key in keys]
+    return {v: classes[key] for v, key in keys.items()}
 
 
 def _relation_bitsets(masks: list[int], sizes: Iterable[int],
@@ -387,7 +387,9 @@ class _DominationSearch:
         there excludes v's whole orbit under the permutations fixing v0 and
         t (orbital branching): any family with a member in that orbit maps
         to one containing v0 and v that avoids everything excluded before,
-        since those exclusions are unions of orbits too.
+        since those exclusions are unions of orbits too. Only the available
+        helpers of t are keyed: an orbit lies inside t's helpers, as its
+        permutations fix t, and avoids v0, the only chosen vertex there.
         """
         self._reset()
         if symmetry and size >= 1:
@@ -454,8 +456,8 @@ class _DominationSearch:
         if target is None:
             return None
         avail = self.helpers[target] & ~self.chosen_bits & ~banned
-        orbit = (_orbits(self.masks, [self.masks[0], self.masks[target]])
-                 if orbital else None)
+        orbit = (_orbits(self.masks, [self.masks[0], self.masks[target]],
+                         avail) if orbital else None)
         for v in _bits(avail):
             if banned >> v & 1:
                 continue  # in the orbit of a vertex already branched on
@@ -545,13 +547,12 @@ def solve_domination(
 
 
 # Orbital branching runs at the cliques of at most this many members; deeper
-# nodes exclude single vertices. Measured on 2 CPUs, Python 3.11.7 (nodes are
-# exact, seconds indicative): rho2(9,4) takes 13,164 nodes (0.11 s) at depth
-# 1, 748 (0.011 s) at 3, 449 (0.022 s) at 4 and 440 (0.16 s) at every depth;
-# rho2(12,5) takes 1,299,678 (20 s), 6,750 (0.11-0.14 s), 2,930 (0.11-0.17 s)
-# and 2,300 (5.2 s). Depth 3 is fastest. Orbits at every depth cost more
-# than they save, and lower rho2(11,5)'s 3 s bracket from [58,121] to [52,121].
-_ORBIT_DEPTH = 3
+# nodes exclude single vertices. Nodes (exact) and seconds (2 CPUs, Python
+# 3.11.7, indicative) at depth 2 / 3 / 4 / 5 / every depth: rho2(9,4) 1,582 /
+# 748 / 449 / 440 / 440 nodes in 0.013 / 0.008 / 0.006 / 0.008 / 0.012 s;
+# rho2(12,5) 53,651 / 6,750 / 2,930 / 2,332 / 2,300 in 0.72 / 0.086 / 0.048
+# / 0.065 / 0.096 s. Depth 4 is fastest.
+_ORBIT_DEPTH = 4
 
 
 class _CliqueSearch:
@@ -613,6 +614,9 @@ class _CliqueSearch:
         C and a w in v's orbit that avoids every exclusion so far therefore
         maps, under the g in G_C with g(w) = v, to a clique of the same size
         through C and v that avoids them too, which v's branch has searched.
+        The orbits are keyed on the candidates when the first branch returns;
+        `p_mask` has lost no vertex by then and only shrinks after, so each
+        orbit restricted to them excludes what the whole orbit would.
         """
         self.nodes += 1
         if self.nodes % 256 == 0:
@@ -633,7 +637,8 @@ class _CliqueSearch:
             self.expand(clique, p_mask & self.compat[v])
             clique.pop()
             if orbit is None and self.orbital and len(clique) <= _ORBIT_DEPTH:
-                orbit = _orbits(self.masks, [self.masks[c] for c in clique])
+                orbit = _orbits(self.masks, [self.masks[c] for c in clique],
+                                p_mask)
             p_mask &= ~orbit[v] if orbit else ~(1 << v)
 
 
@@ -652,7 +657,7 @@ def solve_rho2(params: KneserParams, cfg: SolverConfig | None = None) -> SolveRe
     build. Everything else runs maximum-clique branch and bound on the
     compatibility graph, whose one upper bound is the LP floor, and stops
     once a packing meets it. With symmetry breaking the root is the clique
-    [v0], and at every clique C of at most three members a branch on a
+    [v0], and at every clique C of at most four members a branch on a
     candidate v, once done, excludes v's orbit under the permutations fixing
     each member of C (`_CliqueSearch.expand`): they map any packing through
     C and a vertex of that orbit to a packing through C and v. On timeout it

@@ -373,15 +373,15 @@ class TestRho2:
         assert a.value == b.value == 12
         # the orbit rule cuts the search with symmetry breaking; without it
         # the nodes are those of the plain search, which the color cut keeps
-        assert (a.nodes, b.nodes) == (748, 2_378_117)
+        assert (a.nodes, b.nodes) == (449, 2_378_117)
 
     def test_k125_closes_at_12(self):
         """rho2(K(12,5)) = 12, the recorded Table 2 value, proved by search:
-        orbital branching up to cliques of three members keeps it to 6,750
+        orbital branching up to cliques of four members keeps it to 2,930
         nodes."""
         res = solve_rho2(KneserParams(12, 5), SolverConfig(timeout=600))
         assert res.optimal and res.value == 12
-        assert res.nodes == 6_750
+        assert res.nodes == 2_930
         assert len(res.witness) == 12
         assert verify_2_packing(res.witness).valid
 
@@ -563,9 +563,11 @@ def _apply(perm, mask):
 
 
 class TestOrbits:
-    """`solve._orbits(masks, sets)` returns the orbits of the permutations
-    fixing every set in `sets`: each class is closed under them, and each is
-    one orbit. Checked on one, two and three fixed sets, repeats included."""
+    """`solve._orbits(masks, sets, among)` returns the orbits of the
+    permutations fixing every set in `sets`, cut down to `among`: over all
+    vertices each class is closed under them, and each is one orbit; over
+    fewer, each is its full class within `among`. Checked on one, two and
+    three fixed sets, repeats included."""
 
     @pytest.mark.parametrize("n,r", [(7, 3), (9, 4), (11, 5)])
     def test_classes_are_orbits(self, n, r):
@@ -577,16 +579,22 @@ class TestOrbits:
         for count in (2, 3):
             picks += [[0] + rng.sample(others, count - 1) for _ in range(2)]
         picks.append([0] + [rng.choice(others)] * 2)
+        everyone = (1 << len(masks)) - 1
         for pick in picks:
             sets = [masks[t] for t in pick]
-            orbit = kneserdom.solve._orbits(masks, sets)
+            orbit = kneserdom.solve._orbits(masks, sets, everyone)
+            for _ in range(5):
+                among = rng.getrandbits(len(masks))
+                assert kneserdom.solve._orbits(masks, sets, among) == {
+                    v: orbit[v] & among for v in range(len(masks))
+                    if among >> v & 1}
             for _ in range(5):
                 perm = _preserving_permutation(n, sets, rng)
                 for v, m in enumerate(masks):
                     assert orbit[index[_apply(perm, m)]] == orbit[v]
             # every member of a class is the image of its first member under
             # a permutation that maps each atom onto itself
-            for cls in set(orbit):
+            for cls in set(orbit.values()):
                 first = masks[(cls & -cls).bit_length() - 1]
                 for v, m in enumerate(masks):
                     if not cls >> v & 1:
@@ -606,23 +614,25 @@ class TestOrbits:
     def test_clique_search_fixes_the_whole_clique(self, n, r, monkeypatch):
         # The value tests cannot see an unsound orbit rule: on these graphs
         # even excluding every candidate after the first branch at cliques
-        # of up to three members still finds rho2. So check the rule
+        # of up to four members still finds rho2. So check the rule
         # itself: each exclusion at a clique C uses the orbits of the
-        # permutations that fix every member of C.
+        # permutations that fix every member of C, keyed on C's candidates.
         solve = kneserdom.solve
         stack, calls = [], []
         expand, orbits = solve._CliqueSearch.expand, solve._orbits
 
         def traced_expand(self, clique, p_mask):
-            stack.append(list(clique))
+            stack.append((list(clique), p_mask))
             try:
                 expand(self, clique, p_mask)
             finally:
                 stack.pop()
 
-        def traced_orbits(masks, sets):
-            calls.append((list(sets), [masks[c] for c in stack[-1]]))
-            return orbits(masks, sets)
+        def traced_orbits(masks, sets, among):
+            clique, candidates = stack[-1]
+            calls.append((list(sets), [masks[c] for c in clique]))
+            assert among & ~candidates == 0
+            return orbits(masks, sets, among)
 
         monkeypatch.setattr(solve._CliqueSearch, "expand", traced_expand)
         monkeypatch.setattr(solve, "_orbits", traced_orbits)
@@ -630,6 +640,7 @@ class TestOrbits:
         assert calls
         for sets, clique in calls:
             assert sets == clique and 1 <= len(clique) <= solve._ORBIT_DEPTH
+        assert any(len(clique) == solve._ORBIT_DEPTH for _, clique in calls)
 
 
 class TestRelationBitsets:
