@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
-from functools import cache
 from typing import Any, NamedTuple
 
 from . import construct as cons
@@ -101,7 +100,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         default="text")
 
 
-@cache  # built on first use; parsing leaves no state in it between calls
 def build_parser() -> _Parser:
     parser = _Parser(prog="kneserdom")
     sub = parser.add_subparsers(dest="command", required=True,

@@ -3,14 +3,9 @@
 import argparse
 import io
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import kneserdom
 from kneserdom import TABLE3_PACKINGS, SolveResult
 from kneserdom.cli import (
     CONSTRUCTIONS,
@@ -182,33 +177,6 @@ def test_option_inventory():
                       "--check", "--format"},
         "reproduce": {"--table", "--format"},
     }
-
-
-def test_parser_is_built_once():
-    assert build_parser() is build_parser()
-
-
-def test_cached_parser_keeps_no_state(capsys, monkeypatch):
-    # a usage error, a valid call and a second usage error through the one
-    # cached parser give what each gives in a fresh process
-    monkeypatch.setenv("COLUMNS", "80")  # one usage width on both sides
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(kneserdom.__file__).resolve().parents[1]))
-    calls = [
-        ["compute", "--invariant", "gamma_k", "--n", "7", "--r", "two"],
-        ["compute", "--invariant", "gamma_k", "--n", "7", "--r", "2",
-         "--k", "2", "--format", "json"],
-        ["compute", "--invariant", "rho2", "--n", "7"],
-    ]
-    codes = []
-    for argv in calls:
-        fresh = subprocess.run(
-            [sys.executable, "-m", "kneserdom.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=120)
-        got = run(capsys, *argv)
-        assert got == (fresh.returncode, fresh.stdout, fresh.stderr)
-        codes.append(got[0])
-    assert codes == [EXIT_USAGE, EXIT_OK, EXIT_USAGE]
 
 
 class TestVerify:
