@@ -65,14 +65,16 @@ _BRUTE_SIZE_LIMIT = 8
 
 
 def brute_force_domination(
-    params: KneserParams, kind: InvariantKind, k: int
+    params: KneserParams, kind: InvariantKind, k: int,
+    size_limit: int = _BRUTE_SIZE_LIMIT,
 ) -> SolveResult:
     """Enumerate families by cardinality and return the first valid one.
 
     Independent of the branch-and-bound path: validity is decided by a plain
     double loop over vertices and members, and definability by whether the
     whole vertex set is valid, since validity is closed under supersets.
-    Guarded to graphs with at most 40 vertices and optimum at most 8.
+    Guarded to graphs with at most 40 vertices and optimum at most
+    `size_limit`, 8 unless the caller raises it.
     """
     if kind is InvariantKind.TWO_PACKING:
         raise ParameterError("the oracle covers domination kinds only")
@@ -101,7 +103,7 @@ def brute_force_domination(
     if not valid(tuple(range(V))):
         return SolveResult(None, None, wall_time=time.monotonic() - start)
     checked = 0
-    for s in range(1, min(V, _BRUTE_SIZE_LIMIT) + 1):
+    for s in range(1, min(V, size_limit) + 1):
         for combo in combinations(range(V), s):
             checked += 1
             if valid(combo):
@@ -111,7 +113,7 @@ def brute_force_domination(
                 return SolveResult(s, s, witness, checked,
                                    time.monotonic() - start)
     raise CapacityError(
-        f"no family of size <= {_BRUTE_SIZE_LIMIT} found; outside oracle guard"
+        f"no family of size <= {size_limit} found; outside oracle guard"
     )
 
 

@@ -393,13 +393,15 @@ class TestRho2:
 
 
 @pytest.mark.parametrize("n,kind,k,nodes", [
-    (7, KD, 2, 1_731),
-    (7, KTT, 1, 1_508),
-    (8, KTT, 1, 1_550),
+    (7, KD, 2, 257),
+    (7, KTT, 1, 1_357),
+    (8, KTT, 1, 333),
 ])
 def test_orbit_rule_keeps_domination_value(n, kind, k, nodes):
     """Orbital branching at the first free level finds the same optimum as
-    the search without symmetry breaking, in the pinned node count."""
+    the search without symmetry breaking, in the pinned node count: the
+    search exhausts the sizes from the counting bound up to value-1, and the
+    heuristic's family closes the instance."""
     a = dom(n, 3, kind, k)
     b = dom(n, 3, kind, k, symmetry_breaking=False)
     assert a.value == b.value
@@ -407,22 +409,23 @@ def test_orbit_rule_keeps_domination_value(n, kind, k, nodes):
 
 
 def test_gamma2_k83_closes_at_12():
-    """gamma_2(K(8,3)) = 12: the search exhausts every size from the
-    theorem bound 6 up to 11, then finds a family of 12. The budget is far
-    above the run time, so the result does not depend on machine speed."""
+    """gamma_2(K(8,3)) = 12: the search exhausts the sizes from the
+    counting bound 10 up to 11, and the heuristic's family of 12 closes the
+    instance. The budget is far above the run time, so the result does not
+    depend on machine speed."""
     res = dom(8, 3, KD, 2, timeout=600)
     assert res.optimal and res.value == 12
-    assert res.nodes == 69_999
+    assert res.nodes == 65_015
     assert verify(res.witness, KD, 2).valid
 
 
 def test_gamma2_k93_closes_at_10():
-    """gamma_2(K(9,3)) = 10: the search exhausts every size from the
-    theorem bound 6 up to 9, then finds a family of 10, under the same
-    budget margin as K(8,3)."""
+    """gamma_2(K(9,3)) = 10: the search exhausts the sizes from the
+    counting bound 8 up to 9, and the heuristic's family of 10 closes the
+    instance, under the same budget margin as K(8,3)."""
     res = dom(9, 3, KD, 2, timeout=600)
     assert res.optimal and res.value == 10
-    assert res.nodes == 70_224
+    assert res.nodes == 47_761
     assert verify(res.witness, KD, 2).valid
 
 
@@ -537,6 +540,63 @@ class TestSlackCut:
             else:
                 assert target == min(slack, key=lambda u: (slack[u], u))
         assert outcomes == {True, False}  # both sides of the cut were tested
+
+
+class TestRootBounds:
+    """The two root bounds of the domination search: the counting bound
+    ceil(k V / max_gain) from below, the seeded local search from above."""
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    @pytest.mark.parametrize("kind", [KD, KT, KTT])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_counting_bound_never_exceeds_the_oracle(self, n, kind, k):
+        # every instance here is defined; the optimum reaches V = 10 on
+        # K(5,2), so the oracle's size guard is raised to V
+        params = KneserParams(n, 2)
+        oracle = brute_force_domination(params, kind, k,
+                                        size_limit=params.vertex_count)
+        assert oracle.optimal
+        assert _search(n, 2, kind, k).counting_bound() <= oracle.value
+
+    @pytest.mark.parametrize("n,r,kind,k,value", [
+        (7, 3, KD, 2, 13),
+        (7, 3, KTT, 1, 12),
+        (8, 3, KTT, 1, 8),
+        (9, 3, KD, 2, 10),
+        (16, 3, KTT, 3, None),
+    ])
+    def test_local_search_is_seeded(self, n, r, kind, k, value):
+        """From the greedy family down, `shrink` yields valid families one
+        member smaller each, the same on two runs whatever the state of the
+        global random generator, and stops at the first size it misses,
+        here the value where it is known."""
+        params = KneserParams(n, r)
+        runs = []
+        for seed in (1, 2):
+            random.seed(seed)
+            search = _search(n, r, kind, k)
+            greedy = search.greedy()
+            runs.append([greedy, *search.shrink(greedy, 1)])
+        assert runs[0] == runs[1]
+        sizes = [len(family) for family in runs[0]]
+        assert sizes == list(range(sizes[0], sizes[0] - len(sizes), -1))
+        assert len(sizes) > 1
+        if value is not None:
+            assert sizes[-1] == value
+        for family in runs[0]:
+            witness = kneserdom.solve._to_family(params, search.masks, family)
+            assert verify(witness, kind, k).valid
+
+    @pytest.mark.parametrize("kind", [KD, KTT])
+    def test_k163_bracket_narrows_to_7_8(self, kind):
+        """gamma_3 and the k-tuple total 3-domination number of K(16,3) lie
+        in [7, 8]: the theorem bound, and a local-search family one below
+        the greedy's 9. Size 7 stays open for the rest of the budget."""
+        res = dom(16, 3, kind, 3, timeout=5)
+        assert res.status is SolveStatus.BOUNDS
+        assert (res.lower_bound, res.upper_bound) == (7, 8)
+        assert len(res.witness) == 8
+        assert verify(res.witness, kind, 3).valid
 
 
 def _atoms(n, sets):
@@ -744,16 +804,16 @@ def test_lp_runs_behind_the_ceiling(monkeypatch):
 
 
 class TestTimeout:
-    """An expired budget stops at the first deadline check (every 512
-    domination nodes, every 256 clique nodes, every 64 rows of the
-    compatibility graph's build), so these brackets do not depend on the
-    speed of the machine."""
+    """An expired budget stops at the first deadline check (every move of
+    the domination local search, every 512 domination nodes, every 256
+    clique nodes, every 64 rows of the compatibility graph's build), so
+    these brackets do not depend on the speed of the machine."""
 
     def test_domination_timeout_returns_bracket(self):
         res = dom(10, 3, KTT, 3, timeout=1e-9)
         assert res.status is SolveStatus.BOUNDS
         assert res.value is None
-        assert (res.lower_bound, res.upper_bound, res.nodes) == (11, 16, 512)
+        assert (res.lower_bound, res.upper_bound, res.nodes) == (11, 16, 0)
         assert len(res.witness) == res.upper_bound
         assert verify(res.witness, KTT, 3).valid
 
@@ -781,6 +841,15 @@ class TestTimeout:
         assert (res.lower_bound, res.upper_bound, res.nodes) == (1, 66, 0)
         assert len(res.witness) == res.lower_bound
         assert verify_2_packing(res.witness).valid
+
+    def test_expired_budget_stops_the_local_search(self):
+        # the local search checks the deadline before its first move, so the
+        # bracket runs from the theorem bound to the greedy family
+        res = dom(16, 3, KD, 3, timeout=1e-9)
+        assert res.status is SolveStatus.BOUNDS
+        assert (res.lower_bound, res.upper_bound, res.nodes) == (7, 9, 0)
+        assert len(res.witness) == res.upper_bound
+        assert verify(res.witness, KD, 3).valid
 
 
 class TestResultStatus:
@@ -888,3 +957,35 @@ def test_delsarte_check_runs_under_optimize():
             print("returned", res.status.value, res.value)
     """)
     assert out == "raised: Delsarte dual violates the constraint of distance 4"
+
+
+def test_lower_bound_check_runs_under_optimize():
+    """A root lower bound above the smallest family found raises, whether
+    the counting bound is too high or the heuristic returns a family below
+    it, even when python -O strips asserts."""
+    out = _run_under_optimize("""
+        if __debug__:
+            raise SystemExit("not running under -O")
+        import kneserdom.solve as solve
+        from kneserdom import InternalCheckError, InvariantKind, KneserParams
+
+        search = solve._DominationSearch
+        original = dict(vars(search))
+
+        def too_small(self, family, lower):
+            yield family[:lower - 1]
+
+        for name, fake in (("counting_bound", lambda self: 99),
+                           ("shrink", too_small)):
+            setattr(search, name, fake)
+            try:
+                res = solve.solve_domination(
+                    KneserParams(7, 3), InvariantKind.K_DOMINATION, 2)
+            except InternalCheckError as exc:
+                print("raised:", exc)
+            else:
+                print("returned", res.status.value, res.value)
+            setattr(search, name, original[name])
+    """)
+    assert out.splitlines() == [
+        "raised: lower bound exceeds the smallest family found"] * 2
