@@ -39,7 +39,6 @@ from .solve import (
     SolverConfig,
     solve_domination,
     solve_rho2,
-    threshold_prediction_by_n,
     threshold_predictions,
 )
 
@@ -74,7 +73,6 @@ __all__ = [
     "solve_domination",
     "solve_rho2",
     "table3_packing",
-    "threshold_prediction_by_n",
     "threshold_predictions",
     "verify",
     "verify_2_packing",

@@ -6,7 +6,8 @@ vertex subsets, strictly between two root bounds. Below is the larger of the
 theorem bound and the counting bound ceil(kV / (degree + self-credit));
 above is the greedy family, shrunk by a seeded tabu swap search with a fixed
 move budget per size. Where they meet the instance closes with no search
-node. The search cuts a node when the largest gains (deficit removed per
+node. Greedy, local search and branch and bound share one coverage state,
+which only choosing or dropping one vertex changes. The search cuts a node when the largest gains (deficit removed per
 vertex) of as many free vertices as may still be chosen cannot cover the
 deficit left, or when some vertex's free helpers cannot cover its own
 deficit (negative slack), and otherwise branches over the helpers of the
@@ -225,7 +226,9 @@ def threshold_predictions(r: int, t: int) -> int | None:
     """Forced 2-packing number of K(3r-t, r), or None outside both ranges.
 
     Returns 3 when t <= (r+5)/5 and 4 when (r+5)/5 < t <= (2r+9)/9; the
-    comparisons use integer cross-multiplication.
+    comparisons use integer cross-multiplication. Stated on n = 3r-t inside
+    the band 2r+1 <= n <= 3r-2: 3 when (14/5)r-1 <= n, and 4 when
+    (25/9)r-1 <= n < (14/5)r-1.
     """
     if not 2 <= t <= r - 1:
         raise ParameterError(f"need 2 <= t <= r-1, got r={r}, t={t}")
@@ -234,15 +237,6 @@ def threshold_predictions(r: int, t: int) -> int | None:
     if 9 * t <= 2 * r + 9:
         return 4
     return None
-
-
-def threshold_prediction_by_n(n: int, r: int) -> int | None:
-    """The same thresholds stated on n = 3r-t, or None outside the band
-    2r+1 <= n <= 3r-2: 3 when (14/5)r-1 <= n, 4 when (25/9)r-1 <= n <
-    (14/5)r-1."""
-    if not 2 * r + 1 <= n <= 3 * r - 2:
-        return None
-    return threshold_predictions(r, 3 * r - n)
 
 
 # --- Delsarte's linear programming bound (exact rational arithmetic) -----
@@ -317,16 +311,24 @@ _TABU_TENURE = 3
 
 
 class _DominationSearch:
-    """Branch and bound for a k-dominating / k-tuple (total) set of fixed size.
+    """Greedy, local search and branch and bound for a k-dominating /
+    k-tuple (total) family, all over one coverage state.
 
-    d[u] is u's deficit, the demand left after the chosen vertices, and
-    `needy` the bitset of the u with d[u] > 0. Choosing v removes
-    (nbr[v] & needy).bit_count() + min(credit, d[v]) deficit units, its gain.
+    cover[u] counts u's chosen neighbours, plus the self-credit if u is
+    chosen. u is needy while cover[u] < k and tight while cover[u] <= k;
+    `needy` and `tight` are those bitsets, `total` is the deficit left,
+    the sum of max(0, k - cover[u]), and `chosen` is the family's bitset.
+    `_place` is the only change to this state. A vertex's gain, the deficit
+    its choice removes, is a popcount against `needy` (`_gain`); a member's
+    loss, the deficit its drop adds, is a popcount against `tight`
+    (`_loss`); each adds the part of its self-credit that counts.
     """
 
     def __init__(self, masks, kind, k, deadline):
         self.masks = masks
         self.nbr = nbr = _relation_bitsets(masks, (0,))
+        # the same neighbours as lists, which `_place` walks faster
+        self.adj = [list(_bits(m)) for m in nbr]
         self.k = k
         self.credit = self_credit(kind, k)
         self.deadline = deadline
@@ -334,23 +336,76 @@ class _DominationSearch:
         self.nodes = 0
         degree = nbr[0].bit_count() if nbr else 0  # Kneser graphs are regular
         self.max_gain = degree + self.credit
-        # helpers[u]: vertices whose selection raises u's coverage
+        # helpers[u]: the vertices whose choice raises cover[u]
         own = 1 if self.credit else 0
         self.helpers = [nbr[u] | own << u for u in range(self.V)]
 
+    def _reset(self) -> None:
+        self.cover = [0] * self.V
+        self.needy = self.tight = (1 << self.V) - 1
+        self.total = self.k * self.V
+        self.chosen = 0
+
+    def _gain(self, v: int) -> int:
+        """The deficit that choosing the free vertex v removes."""
+        return ((self.nbr[v] & self.needy).bit_count()
+                + min(self.credit, max(0, self.k - self.cover[v])))
+
+    def _loss(self, v: int) -> int:
+        """The deficit that dropping the member v adds."""
+        return ((self.nbr[v] & self.tight).bit_count()
+                + min(self.credit,
+                      max(0, self.k + self.credit - self.cover[v])))
+
+    def _place(self, v: int, step: int) -> None:
+        """Choose the free vertex v (step +1) or drop the member v (step -1).
+
+        A neighbour's cover moves by one, so it leaves or joins `needy` only
+        when it lands on `edge` (k going up, k-1 going down), and `tight`
+        only when it lands on edge + 1. v's own cover moves by the
+        self-credit, so its bits are compared before and after.
+        """
+        k, cover = self.k, self.cover
+        if step > 0:
+            self.total -= self._gain(v)
+            edge = k
+        else:
+            self.total += self._loss(v)
+            edge = k - 1
+        flip_needy = flip_tight = 0
+        for u in self.adj[v]:
+            c = cover[u] = cover[u] + step
+            if c == edge:
+                flip_needy |= 1 << u
+            elif c == edge + 1:
+                flip_tight |= 1 << u
+        before = cover[v]
+        after = cover[v] = before + step * self.credit
+        if (before < k) != (after < k):
+            flip_needy |= 1 << v
+        if (before <= k) != (after <= k):
+            flip_tight |= 1 << v
+        self.needy ^= flip_needy
+        self.tight ^= flip_tight
+        self.chosen ^= 1 << v
+
     def _gains(self, excluded: int) -> list[int]:
-        """gains[v]: v's gain in the current state, 0 for v in `excluded`."""
-        nbr, needy, d, credit = self.nbr, self.needy, self.deficits, self.credit
+        """gains[v]: `_gain(v)`, or 0 for v in `excluded`."""
+        nbr, needy, k, credit = self.nbr, self.needy, self.k, self.credit
+        full = k - credit  # a free vertex's whole credit counts up to here
         count = int.bit_count  # popcount, bound once for this hot loop
+        # `_gain` inlined: this runs at most search nodes and at every greedy
+        # step, and a call per vertex made it about a third slower
         return [0 if excluded >> v & 1
-                else count(nbr[v] & needy) + (d[v] if d[v] < credit else credit)
-                for v in range(self.V)]
+                else count(nbr[v] & needy) + (credit if c <= full
+                                              else k - c if c < k else 0)
+                for v, c in enumerate(self.cover)]
 
     def _gain_bound(self, remaining: int, banned: int) -> int:
         """The sum of the `remaining` largest gains of the free vertices (not
         chosen, not banned): at least the deficit any `remaining` of them
         remove together, since no gain rises as vertices are chosen."""
-        gains = self._gains(self.chosen_bits | banned)
+        gains = self._gains(self.chosen | banned)
         gains.sort(reverse=True)
         return sum(gains[:remaining])
 
@@ -358,45 +413,39 @@ class _DominationSearch:
         """The needy vertex of least slack, the lowest on a tie, or None when
         some needy vertex has negative slack.
 
-        slack(u) is u's supply minus d[u]: the free helpers of u, counting u
-        itself, if free, as min(credit, d[u]). Choosing every free vertex
-        leaves u a deficit exactly when its slack is negative, so no
-        extension of the current state is valid then.
+        slack(u) is u's supply minus its deficit k - cover[u]: the free
+        helpers of u, counting u itself, if free, as min(credit, deficit).
+        Choosing every free vertex leaves u a deficit exactly when its slack
+        is negative, so no extension of the current state is valid then.
         """
-        free = ~(self.chosen_bits | banned)
-        d, credit, helpers = self.deficits, self.credit, self.helpers
+        free = ~(self.chosen | banned)
+        k, cover, credit, helpers = self.k, self.cover, self.credit, self.helpers
         count = int.bit_count
         target, least = None, self.V  # every slack is below V
         for u in _bits(self.needy):
             avail = helpers[u] & free
+            deficit = k - cover[u]
             supply = count(avail)
             if avail >> u & 1:
-                supply += min(credit, d[u]) - 1
-            slack = supply - d[u]
+                supply += min(credit, deficit) - 1
+            slack = supply - deficit
             if slack < 0:
                 return None
             if slack < least:
                 target, least = u, slack
         return target
 
-    def _reset(self) -> None:
-        self.deficits = [self.k] * self.V
-        self.total = self.k * self.V
-        self.needy = (1 << self.V) - 1
-        self.chosen_bits = 0
-        self.chosen: list[int] = []
-
     def greedy(self) -> list[int]:
-        """Max-coverage greedy solution; used as the deepening upper bound.
+        """Max-coverage greedy family; the local search starts from it.
 
-        Each step takes the first vertex of largest gain."""
+        Each step chooses the first free vertex of largest gain."""
         self._reset()
         while self.total > 0:
-            gains = self._gains(self.chosen_bits)
+            gains = self._gains(self.chosen)
             best_gain = max(gains)
             internal_check(best_gain > 0, "greedy stalled on a defined instance")
-            self._choose(gains.index(best_gain))
-        return list(self.chosen)
+            self._place(gains.index(best_gain), 1)
+        return list(_bits(self.chosen))
 
     def counting_bound(self) -> int:
         """ceil(k V / max_gain): the family must remove k V deficit units,
@@ -408,65 +457,41 @@ class _DominationSearch:
         members, none below `lower`, found by a seeded tabu swap search from
         the valid `family`.
 
-        coverage[u] counts u's chosen neighbours, plus the self-credit if u is
-        chosen; u is needy below k and tight at k or below. A vertex's gain is
-        the deficit its addition removes, and a member's loss the deficit its
-        removal adds: popcounts against `needy` and `tight`, as in `_gains`.
-        Each size starts from the last family yielded less its member of least
-        loss, and gets _LOCAL_MOVES moves: add the free helper of largest gain
-        of a random needy vertex, then drop the member of least loss, neither
-        to be moved back for _TABU_TENURE moves. The first size left invalid
-        ends the search. The deadline is checked before every move, and once
-        per size even when its first drop leaves the family valid.
+        Each size starts from the last family yielded less its member of
+        least loss, and gets _LOCAL_MOVES moves: add the free helper of
+        largest gain of a random needy vertex, then drop the member of least
+        loss, neither to be moved back for _TABU_TENURE moves. The first
+        size left invalid ends the search. The deadline is checked before
+        every move, and once per size even when its first drop leaves the
+        family valid.
         """
         rng = random.Random(_LOCAL_SEED)
-        nbr, k, credit = self.nbr, self.k, self.credit
-        count = int.bit_count
-        coverage = [0] * self.V
-        needy = tight = (1 << self.V) - 1
-        chosen = 0
-
-        def shift(v: int, step: int) -> None:
-            nonlocal needy, tight, chosen
-            chosen ^= 1 << v
-            coverage[v] += step * credit
-            for u in _bits(nbr[v]):
-                coverage[u] += step
-            for u in _bits(nbr[v] | 1 << v):
-                bit = 1 << u
-                needy = needy | bit if coverage[u] < k else needy & ~bit
-                tight = tight | bit if coverage[u] <= k else tight & ~bit
-
-        def gain(v: int) -> int:
-            return (count(nbr[v] & needy)
-                    + min(credit, max(0, k - coverage[v])))
-
-        def loss(v: int) -> int:
-            return (count(nbr[v] & tight)
-                    + min(credit, max(0, k + credit - coverage[v])))
 
         def allowed(pool: int, move: int) -> list[int]:
             members = list(_bits(pool))
             return [v for v in members if tabu[v] <= move] or members
 
+        self._reset()
         for v in family:
-            shift(v, 1)
+            self._place(v, 1)
         for _ in range(len(family) - 1, lower - 1, -1):
-            shift(min(_bits(chosen), key=loss), -1)
+            self._place(min(_bits(self.chosen), key=self._loss), -1)
             tabu = [0] * self.V  # tabu[v]: the first move that may move v
             for move in range(_LOCAL_MOVES):
                 self.deadline.check()
-                if not needy:
+                if not self.needy:
                     break
-                u = rng.choice(list(_bits(needy)))
-                v = max(allowed(self.helpers[u] & ~chosen, move), key=gain)
-                shift(v, 1)
-                w = min(allowed(chosen & ~(1 << v), move), key=loss)
-                shift(w, -1)
+                u = rng.choice(list(_bits(self.needy)))
+                v = max(allowed(self.helpers[u] & ~self.chosen, move),
+                        key=self._gain)
+                self._place(v, 1)
+                w = min(allowed(self.chosen & ~(1 << v), move),
+                        key=self._loss)
+                self._place(w, -1)
                 tabu[v] = tabu[w] = move + 1 + _TABU_TENURE
-            if needy:
+            if self.needy:
                 return
-            yield list(_bits(chosen))
+            yield list(_bits(self.chosen))
 
     def find(self, size: int, symmetry: bool) -> list[int] | None:
         """A valid family of exactly `size` vertices, or None if none exists.
@@ -483,40 +508,9 @@ class _DominationSearch:
         """
         self._reset()
         if symmetry and size >= 1:
-            self._choose(0)
+            self._place(0, 1)
             return self._dfs(size - 1, banned=0, orbital=True)
         return self._dfs(size, banned=0)
-
-    def _choose(self, v: int) -> list[tuple[int, int]]:
-        log = []
-        d = self.deficits
-        take = min(self.credit, d[v])
-        if take:
-            log.append((v, take))
-            d[v] -= take
-            self.total -= take
-        cleared = 0 if d[v] else 1 << v
-        hit = self.nbr[v] & self.needy
-        for u in _bits(hit):
-            log.append((u, 1))
-            d[u] -= 1
-            if not d[u]:
-                cleared |= 1 << u
-        self.total -= hit.bit_count()
-        self.needy &= ~cleared
-        self.chosen_bits |= 1 << v
-        self.chosen.append(v)
-        return log
-
-    def _unchoose_log(self, v: int, log: list[tuple[int, int]]) -> None:
-        d = self.deficits
-        for u, amount in log:
-            if not d[u]:
-                self.needy |= 1 << u
-            d[u] += amount
-            self.total += amount
-        self.chosen_bits &= ~(1 << v)
-        self.chosen.pop()
 
     def _dfs(self, remaining: int, banned: int,
              orbital: bool = False) -> list[int] | None:
@@ -535,7 +529,7 @@ class _DominationSearch:
         if self.nodes % 512 == 0:
             self.deadline.check()
         if self.total == 0:
-            return list(self.chosen)
+            return list(_bits(self.chosen))
         if remaining == 0:
             return None
         if self.total > remaining * self.max_gain:
@@ -545,15 +539,15 @@ class _DominationSearch:
         target = self._target(banned)
         if target is None:
             return None
-        avail = self.helpers[target] & ~self.chosen_bits & ~banned
+        avail = self.helpers[target] & ~self.chosen & ~banned
         orbit = (_orbits(self.masks, [self.masks[0], self.masks[target]],
                          avail) if orbital else None)
         for v in _bits(avail):
             if banned >> v & 1:
                 continue  # in the orbit of a vertex already branched on
-            log = self._choose(v)
+            self._place(v, 1)
             result = self._dfs(remaining - 1, banned)
-            self._unchoose_log(v, log)
+            self._place(v, -1)
             if result is not None:
                 return result
             banned |= orbit[v] if orbit else 1 << v
@@ -779,9 +773,10 @@ def solve_rho2(params: KneserParams, cfg: SolverConfig | None = None) -> SolveRe
         return _certified(witness, verify_2_packing(witness),
                           len(witness), len(witness), 0, start)
 
-    predicted = threshold_prediction_by_n(n, r)
+    # what is left is the band 2r+1 <= n <= 3r-2, so 2 <= t <= r-1
+    t = 3 * r - n
+    predicted = threshold_predictions(r, t)
     if predicted is not None:
-        t = 3 * r - n
         witness = rho3_witness(r, t) if predicted == 3 else rho4_witness(r, t)
         return _certified(witness, verify_2_packing(witness),
                           predicted, predicted, 0, start)

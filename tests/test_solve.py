@@ -29,7 +29,6 @@ from kneserdom import (
     solve_domination,
     solve_rho2,
     table3_packing,
-    threshold_prediction_by_n,
     threshold_predictions,
     verify,
     verify_2_packing,
@@ -68,16 +67,6 @@ class TestThresholds:
             threshold_predictions(5, 1)
         with pytest.raises(ParameterError):
             threshold_predictions(5, 5)
-
-    def test_by_n_agrees_with_by_t(self):
-        for r in range(3, 101):
-            for n in range(2 * r + 1, 3 * r - 1):
-                t = 3 * r - n
-                assert threshold_prediction_by_n(n, r) == threshold_predictions(r, t), (n, r)
-
-    def test_by_n_outside_band(self):
-        assert threshold_prediction_by_n(8, 3) is None  # n > 3r-2
-        assert threshold_prediction_by_n(6, 3) is None  # n < 2r+1
 
 
 class TestPetersen:
@@ -438,15 +427,19 @@ def _search(n, r, kind, k):
 
 
 def _state(search):
-    return (list(search.deficits), search.total, search.needy,
-            search.chosen_bits, list(search.chosen))
+    return (list(search.cover), search.needy, search.tight, search.total,
+            search.chosen)
+
+
+def _deficits(search):
+    return [max(0, search.k - c) for c in search.cover]
 
 
 class TestSortedGainBound:
     """`_DominationSearch._gain_bound` is at least the deficit that the best
     `remaining` free vertices remove together, found by trying them all, on
-    seeded random partial states; choosing and unchoosing keep `needy` equal
-    to the set of vertices with a deficit."""
+    seeded random partial states; `_place` keeps the coverage state equal
+    to its definition whatever order members are dropped in."""
 
     @pytest.mark.parametrize("n,r", [(6, 2), (7, 3)])
     @pytest.mark.parametrize("kind,k", [(KD, 2), (KT, 2), (KTT, 1)])
@@ -457,39 +450,58 @@ class TestSortedGainBound:
         for _ in range(12):
             search._reset()
             for v in rng.sample(range(V), rng.randrange(5)):
-                search._choose(v)
+                search._place(v, 1)
             banned = sum(1 << v for v in range(V)
-                         if not search.chosen_bits >> v & 1
+                         if not search.chosen >> v & 1
                          and rng.random() < 0.2)
             free = [v for v in range(V)
-                    if not (search.chosen_bits | banned) >> v & 1]
+                    if not (search.chosen | banned) >> v & 1]
             remaining = rng.randrange(1, 4)
             before = _state(search)
             best = 0
             for combo in combinations(free, remaining):
-                logs = [(v, search._choose(v)) for v in combo]
-                best = max(best, before[1] - search.total)
-                for v, log in reversed(logs):
-                    search._unchoose_log(v, log)
+                for v in combo:
+                    search._place(v, 1)
+                best = max(best, before[3] - search.total)
+                for v in combo:
+                    search._place(v, -1)
                 assert _state(search) == before
             assert search._gain_bound(remaining, banned) >= best
 
     @pytest.mark.parametrize("kind,k", [(KD, 2), (KT, 3), (KTT, 1)])
     def test_needy_tracks_deficits(self, kind, k):
+        """Members are dropped in random order, as `shrink` drops them, not
+        only last chosen first, as `_dfs` does. The inlined gains of
+        `_gains` equal `_gain`."""
         rng = random.Random(f"{kind.name},{k}")
         search = _search(7, 3, kind, k)
-        stack = []
+        V, nbr, credit = search.V, search.nbr, search.credit
+        order, out_of_order = [], 0
         for _ in range(200):
-            if stack and (rng.random() < 0.4 or search.total == 0):
-                search._unchoose_log(*stack.pop())
+            if order and (rng.random() < 0.4 or search.total == 0):
+                v = rng.choice(order)
+                out_of_order += v != order[-1]
+                order.remove(v)
+                search._place(v, -1)
             else:
-                v = rng.choice([v for v in range(search.V)
-                                if not search.chosen_bits >> v & 1])
-                stack.append((v, search._choose(v)))
-            d = search.deficits
-            assert search.needy == sum(1 << u for u in range(search.V)
-                                       if d[u] > 0)
-            assert search.total == sum(d)
+                v = rng.choice([v for v in range(V)
+                                if not search.chosen >> v & 1])
+                order.append(v)
+                search._place(v, 1)
+            assert search.chosen == sum(1 << v for v in order)
+            cover = [(nbr[u] & search.chosen).bit_count()
+                     + (credit if search.chosen >> u & 1 else 0)
+                     for u in range(V)]
+            assert search.cover == cover
+            assert search.needy == sum(1 << u for u in range(V)
+                                       if cover[u] < k)
+            assert search.tight == sum(1 << u for u in range(V)
+                                       if cover[u] <= k)
+            assert search.total == sum(max(0, k - c) for c in cover)
+            assert search._gains(search.chosen) == [
+                0 if search.chosen >> v & 1 else search._gain(v)
+                for v in range(V)]
+        assert out_of_order > 0
 
 
 class TestSlackCut:
@@ -510,27 +522,29 @@ class TestSlackCut:
         for _ in range(40):
             search._reset()
             for v in rng.sample(range(V), rng.randrange(5)):
-                search._choose(v)
+                search._place(v, 1)
             if search.total == 0:
                 continue  # `_dfs` returns before it asks for a target
             p_ban = rng.choice([0.2, 0.5, 0.8])
             banned = sum(1 << v for v in range(V)
-                         if not search.chosen_bits >> v & 1
+                         if not search.chosen >> v & 1
                          and rng.random() < p_ban)
             free = [v for v in range(V)
-                    if not (search.chosen_bits | banned) >> v & 1]
+                    if not (search.chosen | banned) >> v & 1]
             before = _state(search)
-            d = before[0]
+            d = _deficits(search)
             slack = {u: -d[u] for u in range(V) if d[u] > 0}
             for v in free:
-                log = search._choose(v)
+                search._place(v, 1)
+                after = _deficits(search)
                 for u in slack:
-                    slack[u] += d[u] - search.deficits[u]
-                search._unchoose_log(v, log)
-            logs = [(v, search._choose(v)) for v in free]
+                    slack[u] += d[u] - after[u]
+                search._place(v, -1)
+            for v in free:
+                search._place(v, 1)
             falls_short = search.total > 0
-            for v, log in reversed(logs):
-                search._unchoose_log(v, log)
+            for v in free:
+                search._place(v, -1)
             assert _state(search) == before
             target = search._target(banned)
             assert _state(search) == before
@@ -586,6 +600,27 @@ class TestRootBounds:
         for family in runs[0]:
             witness = kneserdom.solve._to_family(params, search.masks, family)
             assert verify(witness, kind, k).valid
+
+    @pytest.mark.parametrize("n,r,kind,k,value", [
+        (7, 3, KD, 2, 13),
+        (8, 3, KTT, 1, 8),
+    ])
+    def test_phases_share_one_state(self, n, r, kind, k, value):
+        """`greedy`, `shrink` and `find` run on one search in turn, as in
+        `solve_domination`. `shrink` ends on the size it misses, an invalid
+        state; each `find` after it returns the family, and takes the
+        nodes, that it returns and takes on a fresh search."""
+        search = _search(n, r, kind, k)
+        greedy = search.greedy()
+        assert len(list(search.shrink(greedy, 1))) > 0
+        assert search.needy
+        for size in (value - 1, value):
+            fresh = _search(n, r, kind, k)
+            before = search.nodes
+            family = search.find(size, True)
+            assert family == fresh.find(size, True)
+            assert search.nodes - before == fresh.nodes > 0
+        assert len(family) == value
 
     @pytest.mark.parametrize("kind", [KD, KTT])
     def test_k163_bracket_narrows_to_7_8(self, kind):
