@@ -37,15 +37,15 @@ class InvariantKind(Enum):
 
 @dataclass(frozen=True)
 class VerificationReport:
-    valid: bool
     kind: InvariantKind
     k: int
     witness_violation: Vertex | tuple[Vertex, Vertex] | None
     checked_count: int
 
-    def __post_init__(self) -> None:
-        internal_check(self.valid == (self.witness_violation is None),
-                       "a report is valid exactly when it names no violation")
+    @property
+    def valid(self) -> bool:
+        """A report is valid exactly when it names no violation."""
+        return self.witness_violation is None
 
 
 # How much a member of D counts toward its own demand of k. Under
@@ -177,11 +177,10 @@ def _verify_domination(
     walk(0, r, 0, 0)
     skipped = size if exempt else 0
     if best == top:
-        return VerificationReport(True, kind, k, None,
-                                  params.vertex_count - skipped)
+        return VerificationReport(kind, k, None, params.vertex_count - skipped)
     if exempt:
         skipped = sum(1 for m in masks if m < best)
-    return VerificationReport(False, kind, k, Vertex(best),
+    return VerificationReport(kind, k, Vertex(best),
                               _colex_rank(best) + 1 - skipped)
 
 
@@ -239,9 +238,8 @@ def verify_2_packing(S: VertexFamily) -> VerificationReport:
             checked += 1
             if (u.mask & v.mask).bit_count() not in allowed:
                 return VerificationReport(
-                    False, InvariantKind.TWO_PACKING, 0, (u, v), checked
-                )
-    return VerificationReport(True, InvariantKind.TWO_PACKING, 0, None, checked)
+                    InvariantKind.TWO_PACKING, 0, (u, v), checked)
+    return VerificationReport(InvariantKind.TWO_PACKING, 0, None, checked)
 
 
 def verify(

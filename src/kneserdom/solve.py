@@ -7,21 +7,21 @@ theorem bound and the counting bound ceil(kV / (degree + self-credit));
 above is the greedy family, shrunk by a seeded tabu swap search with a fixed
 move budget per size. Where they meet the instance closes with no search
 node. Greedy, local search and branch and bound share one coverage state,
-which only choosing or dropping one vertex changes. The search cuts a node when the largest gains (deficit removed per
-vertex) of as many free vertices as may still be chosen cannot cover the
-deficit left, or when some vertex's free helpers cannot cover its own
-deficit (negative slack), and otherwise branches over the helpers of the
-vertex with the least slack. The 2-packing number closes by maximum-clique
-branch and bound on the pairwise-compatibility graph (pairs at distance
->= 3), with closed-form shortcuts where the value is forced: diameter-2
-graphs, the perfect matching K(2r,r), and the threshold ranges where
-counting the occurrences of elements in a normalized packing pins the value
-to 3 or 4. Elsewhere in the band 2r+1 <= n <= 3r-2 the floor of Delsarte's
-LP over the Johnson scheme, solved exactly in fractions and proved by a dual
-vector that `certify` checks, bounds the clique search, or closes the
-instance when a recorded packing meets it. On the paper's boundary row
-n = r(k+r)-1 the domination numbers close by the theorem bound k+r+1 and the
-`gamma_kt_boundary` family.
+which only choosing or dropping one vertex changes. The search cuts a node
+when the largest gains (deficit removed per vertex) of as many free vertices
+as may still be chosen cannot cover the deficit left, or when some vertex's
+free helpers cannot cover its own deficit (negative slack), and otherwise
+branches over the helpers of the vertex with the least slack. The 2-packing
+number closes by maximum-clique branch and bound on the
+pairwise-compatibility graph (pairs at distance >= 3), with closed-form
+shortcuts where the value is forced: diameter-2 graphs, the perfect matching
+K(2r,r), and the threshold ranges where counting the occurrences of elements
+in a normalized packing pins the value to 3 or 4. Elsewhere in the band
+2r+1 <= n <= 3r-2 the floor of Delsarte's LP over the Johnson scheme, solved
+exactly in fractions and proved by a dual vector that `certify` checks,
+bounds the clique search, or closes the instance when a recorded packing
+meets it. On the paper's boundary row n = r(k+r)-1 the domination numbers
+close by the theorem bound k+r+1 and the `gamma_kt_boundary` family.
 
 Both graphs relate two vertices by the size of their intersection: 0 for
 K(n,r) itself, `packing_intersections` for the compatibility graph. One
@@ -39,12 +39,7 @@ and is checked inside the search, at every move of the domination local
 search, and inside the compatibility graph's build, which on expiry leaves
 the bracket [1, LP floor]. The domination graph's build is not checked, as
 the greedy family, the upper bound a domination bracket falls back on, needs
-the whole graph. A solver result is the bracket
-[lower_bound, upper_bound] it proved, and its status and value follow from
-that bracket. Every witness a solver returns, whether the bracket closed or
-a deadline stopped the search, passes its verifier on the way out; the
-witness attains the bracket's upper bound for domination and its lower bound
-for the 2-packing number.
+the whole graph. Every result with a witness leaves through `_certified`.
 """
 
 from __future__ import annotations
@@ -59,7 +54,6 @@ from typing import TYPE_CHECKING
 
 from .certify import (
     InvariantKind,
-    VerificationReport,
     check_delsarte_dual,
     is_defined,
     packing_intersections,
@@ -135,9 +129,22 @@ class SolveResult:
         return self.status is SolveStatus.OPTIMAL
 
 
-def _certified(witness: VertexFamily, report: VerificationReport, lb: int,
-               ub: int, nodes: int, start: float) -> SolveResult:
-    """The one exit of every solver result that carries a witness."""
+def _certified(witness: VertexFamily, kind: InvariantKind, k: int, bound: int,
+               nodes: int, start: float) -> SolveResult:
+    """The one exit of every solver result that carries a witness.
+
+    A result is the bracket [lower_bound, upper_bound] the solver proved,
+    and its status and value follow from that bracket. The witness attains
+    one end: its size is the upper end for domination and the lower end for
+    the 2-packing number. `bound` is the other end, the one the solver
+    proved by theorem, counting, LP or exhaustive search. The bracket must
+    not cross, and the witness must pass its verifier, whether the bracket
+    closed or a deadline stopped the search.
+    """
+    packing = kind is InvariantKind.TWO_PACKING
+    lb, ub = (len(witness), bound) if packing else (bound, len(witness))
+    internal_check(lb <= ub, "lower bound exceeds upper bound")
+    report = verify_2_packing(witness) if packing else verify(witness, kind, k)
     internal_check(report.valid, "solver produced an invalid witness")
     return SolveResult(lb, ub, witness, nodes, time.monotonic() - start)
 
@@ -614,8 +621,6 @@ def solve_domination(
         search = _DominationSearch(masks, kind, k,
                                    _Deadline(start + cfg.timeout))
         best = search.greedy()
-        internal_check(lb <= len(best),
-                       "theorem lower bound exceeds a constructed family")
         lb = max(lb, search.counting_bound())
         try:
             for best in search.shrink(best, lb):
@@ -628,12 +633,9 @@ def solve_domination(
                 lb = s + 1
         except _Timeout:
             pass
-        internal_check(lb <= len(best),
-                       "lower bound exceeds the smallest family found")
         witness = _to_family(params, masks, best)
         nodes = search.nodes
-    return _certified(witness, verify(witness, kind, k),
-                      lb, len(witness), nodes, start)
+    return _certified(witness, kind, k, lb, nodes, start)
 
 
 # --- 2-packing number ------------------------------------------------------
@@ -678,17 +680,12 @@ class _CliqueSearch:
         while p_mask:
             color += 1
             q = p_mask
-            if color < kmin:
-                while q:
-                    low = q & -q
-                    p_mask ^= low
-                    q &= ~(self.compat[low.bit_length() - 1] | low)
-                continue
             while q:
                 low = q & -q
                 v = low.bit_length() - 1
-                order.append(v)
-                colors.append(color)
+                if color >= kmin:
+                    order.append(v)
+                    colors.append(color)
                 p_mask ^= low
                 q &= ~(self.compat[v] | low)
         return order, colors
@@ -763,23 +760,23 @@ def solve_rho2(params: KneserParams, cfg: SolverConfig | None = None) -> SolveRe
     sizes = packing_intersections(params)
     if not sizes:
         witness = VertexFamily(params, (Vertex((1 << r) - 1),))
-        return _certified(witness, verify_2_packing(witness), 1, 1, 0, start)
+        return _certified(witness, InvariantKind.TWO_PACKING, 0, 1, 0, start)
 
     if n == 2 * r:
         # a perfect matching: a 2-packing holds one end of each edge at most,
         # and the r-sets through element 1 hold one end of every edge
         witness = VertexFamily(params, tuple(
             Vertex(m) for m in params.vertex_masks() if m & 1))
-        return _certified(witness, verify_2_packing(witness),
-                          len(witness), len(witness), 0, start)
+        return _certified(witness, InvariantKind.TWO_PACKING, 0,
+                          comb(n, r) // 2, 0, start)
 
     # what is left is the band 2r+1 <= n <= 3r-2, so 2 <= t <= r-1
     t = 3 * r - n
     predicted = threshold_predictions(r, t)
     if predicted is not None:
         witness = rho3_witness(r, t) if predicted == 3 else rho4_witness(r, t)
-        return _certified(witness, verify_2_packing(witness),
-                          predicted, predicted, 0, start)
+        return _certified(witness, InvariantKind.TWO_PACKING, 0,
+                          predicted, 0, start)
 
     masks = list(params.vertex_masks())
     bound, dual = delsarte_lp(n, r)
@@ -787,16 +784,16 @@ def solve_rho2(params: KneserParams, cfg: SolverConfig | None = None) -> SolveRe
     upper = floor(bound)
     if n == 3 * r - 3 and len(TABLE3_PACKINGS.get(r, ())) == upper:
         witness = table3_packing(r)
-        return _certified(witness, verify_2_packing(witness),
-                          upper, upper, 0, start)
+        return _certified(witness, InvariantKind.TWO_PACKING, 0,
+                          upper, 0, start)
 
     deadline = _Deadline(start + cfg.timeout)
     try:
         compat = _relation_bitsets(masks, sizes, deadline)
     except _Timeout:
         witness = _to_family(params, masks, [0])
-        return _certified(witness, verify_2_packing(witness), 1, upper, 0,
-                          start)
+        return _certified(witness, InvariantKind.TWO_PACKING, 0,
+                          upper, 0, start)
     search = _CliqueSearch(compat, masks, upper, cfg.symmetry_breaking,
                            deadline)
     # Any maximum 2-packing maps, by vertex-transitivity, to one containing
@@ -811,5 +808,5 @@ def solve_rho2(params: KneserParams, cfg: SolverConfig | None = None) -> SolveRe
     except _Timeout:
         pass
     witness = _to_family(params, masks, search.best_clique)
-    return _certified(witness, verify_2_packing(witness), search.best, upper,
-                      search.nodes, start)
+    return _certified(witness, InvariantKind.TWO_PACKING, 0,
+                      upper, search.nodes, start)

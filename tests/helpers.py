@@ -223,8 +223,8 @@ def reference_domination_report(
             count = open_neighbor_count(u, D)
         checked += 1
         if count < k:
-            return VerificationReport(False, kind, k, u, checked)
-    return VerificationReport(True, kind, k, None, checked)
+            return VerificationReport(kind, k, u, checked)
+    return VerificationReport(kind, k, None, checked)
 
 
 def bron_kerbosch_rho2(params: KneserParams) -> int:

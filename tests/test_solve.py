@@ -26,6 +26,8 @@ from kneserdom import (
     TABLE3_PACKINGS,
     VerificationReport,
     VertexFamily,
+    disjoint_clique,
+    rho3_witness,
     solve_domination,
     solve_rho2,
     table3_packing,
@@ -36,7 +38,7 @@ from kneserdom import (
 from kneserdom.certify import check_delsarte_dual, packing_intersections
 from kneserdom.solve import delsarte_lp
 
-from helpers import bron_kerbosch_rho2, brute_force_domination
+from helpers import bron_kerbosch_rho2, brute_force_domination, vertices
 
 KD = InvariantKind.K_DOMINATION
 KT = InvariantKind.K_TUPLE
@@ -352,6 +354,17 @@ class TestRho2:
         res = solve_rho2(KneserParams(n, r))
         assert res.status is SolveStatus.OPTIMAL
         assert (res.value, res.nodes) == (value, 0)
+
+    @pytest.mark.parametrize("n,r", [(13, 5), (16, 6)])
+    def test_threshold_shortcut_agrees_with_the_search(self, n, r,
+                                                       monkeypatch):
+        # with no prediction the LP floor and the clique search find the
+        # value the threshold range forces; Bron-Kerbosch is too slow here
+        monkeypatch.setattr(kneserdom.solve, "threshold_predictions",
+                            lambda r, t: None)
+        res = solve_rho2(KneserParams(n, r))
+        assert res.optimal and res.nodes > 0
+        assert res.value == 3
 
     def test_search_agrees_without_symmetry(self):
         a = solve_rho2(KneserParams(9, 4), SolverConfig(symmetry_breaking=True))
@@ -901,7 +914,7 @@ class TestResultStatus:
 
 
 def _always_invalid(family, kind=InvariantKind.TWO_PACKING, k=0):
-    return VerificationReport(False, kind, k, family.members[0], 1)
+    return VerificationReport(kind, k, family.members[0], 1)
 
 
 @pytest.mark.parametrize("solve", [
@@ -929,6 +942,45 @@ def test_every_witness_exit_is_checked(monkeypatch, solve):
         solve()
 
 
+def _short_rho3_witness(r, t):
+    witness = rho3_witness(r, t)
+    return VertexFamily(witness.params, witness.members[:2])
+
+
+def test_short_closed_form_witness_proves_only_its_size(monkeypatch):
+    """The witness fixes its end of the bracket: a threshold witness one
+    member short proves rho2 >= 2, not the forced value 3."""
+    monkeypatch.setattr("kneserdom.solve.rho3_witness", _short_rho3_witness)
+    res = solve_rho2(KneserParams(13, 5))
+    assert res.status is SolveStatus.BOUNDS
+    assert (res.lower_bound, res.upper_bound, len(res.witness)) == (2, 3, 2)
+
+
+def _theorem_bound_above_clique(params, k):
+    return k + params.r + 1, disjoint_clique(k, params.r, params.n)
+
+
+def _long_rho3_witness(r, t):
+    witness = rho3_witness(r, t)
+    extra = next(v for v in vertices(witness.params) if v not in witness)
+    return VertexFamily(witness.params, witness.members + (extra,))
+
+
+@pytest.mark.parametrize("name,fake,solve", [
+    pytest.param("_theorem_bound", _theorem_bound_above_clique,
+                 lambda: dom(8, 2, KD, 2), id="theorem-clique"),
+    pytest.param("rho3_witness", _long_rho3_witness,
+                 lambda: solve_rho2(KneserParams(13, 5)), id="threshold"),
+])
+def test_witness_beyond_its_bound_raises(monkeypatch, name, fake, solve):
+    """A witness on the wrong side of the bound its exit proved raises,
+    before the verifier runs."""
+    monkeypatch.setattr(f"kneserdom.solve.{name}", fake)
+    with pytest.raises(InternalCheckError,
+                       match="lower bound exceeds upper bound"):
+        solve()
+
+
 def _run_under_optimize(script: str) -> str:
     """The stdout of `script` run by python -O, which strips asserts."""
     src = str(Path(kneserdom.__file__).resolve().parents[1])
@@ -952,7 +1004,7 @@ def test_witness_check_runs_under_optimize():
         )
 
         def always_invalid(family, kind, k=0):
-            return VerificationReport(False, kind, k, family.members[0], 1)
+            return VerificationReport(kind, k, family.members[0], 1)
 
         solve.verify = always_invalid
         try:
@@ -1023,4 +1075,4 @@ def test_lower_bound_check_runs_under_optimize():
             setattr(search, name, original[name])
     """)
     assert out.splitlines() == [
-        "raised: lower bound exceeds the smallest family found"] * 2
+        "raised: lower bound exceeds upper bound"] * 2

@@ -83,6 +83,29 @@ def test_every_definition_is_used():
     assert dead == []
 
 
+def _imported_names(tree):
+    """(name, line) of every name an import statement binds in `tree`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                yield name, node.lineno
+
+
+def test_every_import_is_used():
+    """A name a module imports and never refers to is a leftover. Only
+    __init__.py imports to re-export."""
+    unused = []
+    for path, tree in zip(CALLERS, _trees(CALLERS)):
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line}:{name}"
+                   for name, line in _imported_names(tree) if name not in used]
+    assert unused == []
+
+
 def test_capacity_is_checked_only_in_core():
     """The vertex ceiling is checked where the vertices are enumerated,
     in KneserParams.vertex_masks; no other module checks it."""
