@@ -13,7 +13,8 @@ as may still be chosen cannot cover the deficit left, or when some vertex's
 free helpers cannot cover its own deficit (negative slack), and otherwise
 branches over the helpers of the vertex with the least slack. The 2-packing
 number closes by maximum-clique branch and bound on the
-pairwise-compatibility graph (pairs at distance >= 3), with closed-form
+pairwise-compatibility graph (pairs at distance >= 3), bounded at each node
+by a greedy coloring tightened by the infra-chromatic rule, with closed-form
 shortcuts where the value is forced: diameter-2 graphs, the perfect matching
 K(2r,r), and the threshold ranges where counting the occurrences of elements
 in a normalized packing pins the value to 3 or 4. Elsewhere in the band
@@ -25,14 +26,16 @@ close by the theorem bound k+r+1 and the `gamma_kt_boundary` family.
 
 Both graphs relate two vertices by the size of their intersection: 0 for
 K(n,r) itself, `packing_intersections` for the compatibility graph. One
-bit-sliced build (`_relation_bitsets`) makes either from its set of sizes.
+bit-sliced counter (`_slices`) gives every vertex's intersection size with a
+set of elements at once; the build (`_relation_bitsets`) makes either graph
+from it, and both searches key their orbits with it.
 
 With symmetry breaking both searches fix the colex-first vertex v0, as the
 symmetric group acts vertex-transitively, and branch on one vertex per orbit
 of the permutations fixing what is already chosen (orbital branching): the
 domination search at the level after v0, the clique search at every clique
 of at most four members. The orbits come from intersection sizes with the
-Venn atoms of the fixed sets.
+Venn atoms of the fixed sets, counted for all candidates at once.
 
 A solver's budget counts from the start of the solve, graph build included,
 and is checked inside the search, at every move of the domination local
@@ -169,7 +172,34 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _orbits(masks: list[int], sets: list[int], among: int) -> dict[int, int]:
+def _containers(masks: list[int]) -> list[int]:
+    """contains[x]: the bitset of the vertices whose mask holds element x."""
+    contains = [0] * max(masks).bit_length()
+    for v, m in enumerate(masks):
+        for x in _bits(m):
+            contains[x] |= 1 << v
+    return contains
+
+
+def _slices(contains: list[int], elements: Iterable[int]) -> list[int]:
+    """The bit-sliced count of `elements` in every vertex at once (as BBMC):
+    bit v of slice k is binary digit k of how many of the elements vertex v
+    holds. Each element adds its `contains` bitset with a ripple carry."""
+    count: list[int] = []
+    for x in elements:
+        carry = contains[x]
+        for k, digit in enumerate(count):
+            count[k], carry = digit ^ carry, digit & carry
+            if not carry:
+                break
+        else:
+            if carry:
+                count.append(carry)
+    return count
+
+
+def _orbits(contains: list[int], sets: list[int],
+            among: int) -> dict[int, int]:
     """orbit[v] for each v in the bitset `among`: the bitset of the members of
     `among` in v's orbit under the permutations of [n] that fix each set in
     `sets` setwise.
@@ -177,45 +207,35 @@ def _orbits(masks: list[int], sets: list[int], among: int) -> dict[int, int]:
     Those permutations are the ones that map each Venn atom of the sets onto
     itself (`venn_atoms`), so an r-set's orbit is fixed by how many elements
     it takes from each atom. The atom outside every set needs no count, as r
-    determines it.
+    determines it. `among` is split by every binary digit of every atom's
+    count (`_slices`), all vertices at once.
     """
-    atoms = venn_atoms(sets).values()
-    keys = {v: tuple((masks[v] & atom).bit_count() for atom in atoms)
-            for v in _bits(among)}
-    classes: dict[tuple[int, ...], int] = {}
-    for v, key in keys.items():
-        classes[key] = classes.get(key, 0) | 1 << v
-    return {v: classes[key] for v, key in keys.items()}
+    classes = [among]
+    for atom in venn_atoms(sets).values():
+        for digit in _slices(contains, _bits(atom)):
+            classes = [part for cls in classes
+                       for part in (cls & digit, cls & ~digit) if part]
+    return {v: cls for cls in classes for v in _bits(cls)}
 
 
-def _relation_bitsets(masks: list[int], sizes: Iterable[int],
+def _relation_bitsets(masks: list[int], contains: list[int],
+                      sizes: Iterable[int],
                       deadline: _Deadline | None = None) -> list[int]:
     """related[i]: the bitset of the j with |masks[i] & masks[j]| in `sizes`;
-    sizes below r leave out i itself.
+    sizes below r leave out i itself. `contains` is `_containers(masks)`.
 
-    Bit-parallel (as BBMC): contains[x] holds the vertices containing element
-    x, and a bit-sliced counter adds the r of them belonging to one vertex u,
-    so bit j of slice k is binary digit k of |u & masks[j]| for every j at
-    once. Each allowed size then selects the bits whose digits spell it.
-    A `deadline` is checked every 64 rows, the first row included.
+    Bit-parallel: the `_slices` of masks[i]'s elements hold |masks[i] &
+    masks[j]| for every j at once, and each allowed size selects the bits
+    whose digits spell it; masks[i] meets itself in all r elements, so the
+    slices spell every size up to r. A `deadline` is checked every 64 rows,
+    the first row included.
     """
-    contains = [0] * max(masks).bit_length()
-    for v, m in enumerate(masks):
-        for x in _bits(m):
-            contains[x] |= 1 << v
     full = (1 << len(masks)) - 1
-    depth = masks[0].bit_count().bit_length()
     related = []
     for i, m in enumerate(masks):
         if deadline and i % 64 == 0:
             deadline.check()
-        count = [0] * depth
-        for x in _bits(m):
-            carry = contains[x]
-            for k in range(depth):
-                count[k], carry = count[k] ^ carry, count[k] & carry
-                if not carry:
-                    break
+        count = _slices(contains, _bits(m))
         row = 0
         for size in sizes:
             equal = full
@@ -333,7 +353,8 @@ class _DominationSearch:
 
     def __init__(self, masks, kind, k, deadline):
         self.masks = masks
-        self.nbr = nbr = _relation_bitsets(masks, (0,))
+        self.contains = _containers(masks)
+        self.nbr = nbr = _relation_bitsets(masks, self.contains, (0,))
         # the same neighbours as lists, which `_place` walks faster
         self.adj = [list(_bits(m)) for m in nbr]
         self.k = k
@@ -547,8 +568,9 @@ class _DominationSearch:
         if target is None:
             return None
         avail = self.helpers[target] & ~self.chosen & ~banned
-        orbit = (_orbits(self.masks, [self.masks[0], self.masks[target]],
-                         avail) if orbital else None)
+        orbit = (_orbits(self.contains,
+                         [self.masks[0], self.masks[target]], avail)
+                 if orbital else None)
         for v in _bits(avail):
             if banned >> v & 1:
                 continue  # in the orbit of a vertex already branched on
@@ -642,22 +664,26 @@ def solve_domination(
 
 
 # Orbital branching runs at the cliques of at most this many members; deeper
-# nodes exclude single vertices. Nodes (exact) and seconds (2 CPUs, Python
-# 3.11.7, indicative) at depth 2 / 3 / 4 / 5 / every depth: rho2(9,4) 1,582 /
-# 748 / 449 / 440 / 440 nodes in 0.013 / 0.008 / 0.006 / 0.008 / 0.012 s;
-# rho2(12,5) 53,651 / 6,750 / 2,930 / 2,332 / 2,300 in 0.72 / 0.086 / 0.048
-# / 0.065 / 0.096 s. Depth 4 is fastest.
+# nodes exclude single vertices. Nodes (exact) and CPU seconds (2 CPUs,
+# Python 3.11.7, best of 7, indicative) at depth 2 / 3 / 4 / 5 / every depth,
+# with the infra-chromatic bound: rho2(9,4) 1,113 / 531 / 342 / 333 / 333
+# nodes in 0.019 / 0.0065 / 0.0057 / 0.0072 / 0.010 s; rho2(12,5) 36,492 /
+# 4,593 / 1,993 / 1,623 / 1,616 in 0.64 / 0.085 / 0.047 / 0.056 / 0.082 s.
+# Depth 4 is fastest.
 _ORBIT_DEPTH = 4
 
 
 class _CliqueSearch:
-    """Tomita-style maximum clique with greedy-coloring bounds, and orbital
-    branching at the shallow cliques when `orbital` is set."""
+    """Tomita-style maximum clique with greedy-coloring bounds tightened by
+    the infra-chromatic bound (`color_order`), and orbital branching at the
+    shallow cliques when `orbital` is set."""
 
-    def __init__(self, compat: list[int], masks: list[int], upper: int,
-                 orbital: bool, deadline: _Deadline):
+    def __init__(self, compat: list[int], masks: list[int],
+                 contains: list[int], upper: int, orbital: bool,
+                 deadline: _Deadline):
         self.compat = compat
         self.masks = masks
+        self.contains = contains
         self.orbital = orbital
         self.deadline = deadline
         self.nodes = 0
@@ -668,27 +694,63 @@ class _CliqueSearch:
 
     def color_order(self, p_mask: int,
                     kmin: int) -> tuple[list[int], list[int]]:
-        """Class-by-class greedy coloring: the vertices of color >= kmin in
-        coloring order, and their 1-based colors.
+        """Class-by-class greedy coloring with the infra-chromatic bound: the
+        branching list, the vertices of color >= kmin that no pair of lower
+        classes absorbs, in coloring order, and their 1-based colors.
 
         Every class is built, but the lower ones are not emitted: `expand`
         stops at the first vertex whose color cannot beat the incumbent.
+        The bound it keeps is ω(`p_mask` minus the branching list) <= kmin-1.
+        A vertex v of color >= kmin is absorbed (San Segundo, Nikolaev and
+        Batsyn, 2015) when, in the first unused lower class C_i where v has
+        exactly one neighbor w, no vertex of some other unused lower class
+        C_j neighbors both v and w. Then C_i, C_j and v hold no triangle, so
+        at most two clique members where they counted as three colors; C_i
+        and C_j are used up, and v leaves the branching list but stays a
+        candidate. Each class is maximal among the vertices left when it was
+        built, so v has a neighbor in every lower class.
         """
+        compat = self.compat
         order: list[int] = []
         colors: list[int] = []
+        lower: list[int] = []  # the unused classes below kmin
         color = 0
         while p_mask:
             color += 1
             q = p_mask
+            members = 0
             while q:
                 low = q & -q
                 v = low.bit_length() - 1
-                if color >= kmin:
-                    order.append(v)
-                    colors.append(color)
                 p_mask ^= low
-                q &= ~(self.compat[v] | low)
+                q &= ~(compat[v] | low)
+                if color < kmin:
+                    members |= low
+                    continue
+                if self._absorbed(v, lower):
+                    continue
+                order.append(v)
+                colors.append(color)
+            if color < kmin:
+                lower.append(members)
         return order, colors
+
+    def _absorbed(self, v: int, lower: list[int]) -> bool:
+        """Whether a pair of the unused classes `lower` absorbs v, as
+        `color_order` says; if so the pair is removed from `lower`. Only the
+        first class where v has a single neighbor is tried."""
+        compat = self.compat
+        around = compat[v]
+        for i, cls in enumerate(lower):
+            hit = around & cls
+            if hit & (hit - 1) == 0:  # one neighbor w, the bit of `hit`
+                both = around & compat[hit.bit_length() - 1]
+                for j, other in enumerate(lower):
+                    if j != i and not both & other:
+                        del lower[max(i, j)], lower[min(i, j)]
+                        return True
+                return False
+        return False
 
     def expand(self, clique: list[int], p_mask: int) -> None:
         """Extend `clique` by the candidates `p_mask`.
@@ -727,8 +789,8 @@ class _CliqueSearch:
             self.expand(clique, p_mask & self.compat[v])
             clique.pop()
             if orbit is None and self.orbital and len(clique) <= _ORBIT_DEPTH:
-                orbit = _orbits(self.masks, [self.masks[c] for c in clique],
-                                p_mask)
+                orbit = _orbits(self.contains,
+                                [self.masks[c] for c in clique], p_mask)
             p_mask &= ~orbit[v] if orbit else ~(1 << v)
 
 
@@ -746,12 +808,14 @@ def solve_rho2(params: KneserParams, cfg: SolverConfig | None = None) -> SolveRe
     size closes the instance. These instances close without search or graph
     build. Everything else runs maximum-clique branch and bound on the
     compatibility graph, whose one upper bound is the LP floor, and stops
-    once a packing meets it. With symmetry breaking the root is the clique
-    [v0], and at every clique C of at most four members a branch on a
-    candidate v, once done, excludes v's orbit under the permutations fixing
-    each member of C (`_CliqueSearch.expand`): they map any packing through
-    C and a vertex of that orbit to a packing through C and v. On timeout it
-    returns the bracket from the largest packing found to that bound.
+    once a packing meets it; each node is bounded by a greedy coloring and
+    the infra-chromatic bound (`_CliqueSearch.color_order`). With symmetry
+    breaking the root is the clique [v0], and at every clique C of at most
+    four members a branch on a candidate v, once done, excludes v's orbit
+    under the permutations fixing each member of C (`_CliqueSearch.expand`):
+    they map any packing through C and a vertex of that orbit to a packing
+    through C and v. On timeout it returns the bracket from the largest
+    packing found to that bound.
     """
     cfg = cfg or SolverConfig()
     start = time.monotonic()
@@ -788,14 +852,15 @@ def solve_rho2(params: KneserParams, cfg: SolverConfig | None = None) -> SolveRe
                           upper, 0, start)
 
     deadline = _Deadline(start + cfg.timeout)
+    contains = _containers(masks)
     try:
-        compat = _relation_bitsets(masks, sizes, deadline)
+        compat = _relation_bitsets(masks, contains, sizes, deadline)
     except _Timeout:
         witness = _to_family(params, masks, [0])
         return _certified(witness, InvariantKind.TWO_PACKING, 0,
                           upper, 0, start)
-    search = _CliqueSearch(compat, masks, upper, cfg.symmetry_breaking,
-                           deadline)
+    search = _CliqueSearch(compat, masks, contains, upper,
+                           cfg.symmetry_breaking, deadline)
     # Any maximum 2-packing maps, by vertex-transitivity, to one containing
     # the colex-first vertex, so search only extensions of it.
     if cfg.symmetry_breaking:

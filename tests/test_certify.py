@@ -17,13 +17,26 @@ from kneserdom import (
     verify,
     verify_2_packing,
 )
-from kneserdom.certify import check_delsarte_dual, is_defined
-from kneserdom.construct import disjoint_clique, gamma_kt_boundary
+from kneserdom.certify import (
+    check_delsarte_dual,
+    is_defined,
+    packing_intersections,
+)
+from kneserdom.construct import (
+    disjoint_clique,
+    gamma_kt_boundary,
+    rho3_witness,
+    rho4_witness,
+    table3_packing,
+)
 
 from helpers import (
+    block_packing,
     closed_neighbor_count,
     distance_at_most_2,
     open_neighbor_count,
+    pairwise_intersections,
+    perturb_packing,
     reference_domination_report,
     vertices,
 )
@@ -231,6 +244,98 @@ class TestTwoPacking:
         report = verify_2_packing(fam(12, 5, *sets))
         assert not report.valid
         assert isinstance(report.witness_violation, tuple)
+
+
+def _reference_2_packing(S):
+    """The first pair (in `combinations` order) whose intersection size is
+    not allowed, or None, and the number of pairs up to it, from the
+    intersections one pair at a time."""
+    allowed = packing_intersections(S.params)
+    checked = 0
+    for (i, j), size in pairwise_intersections(S).items():
+        checked += 1
+        if size not in allowed:
+            return (S.members[i], S.members[j]), checked
+    return None, checked
+
+
+def _matching_half(r):
+    """The r-sets of [2r] through element 1: one end of every edge of the
+    perfect matching K(2r,r)."""
+    params = KneserParams(2 * r, r)
+    return VertexFamily(params, tuple(
+        Vertex(m) for m in params.vertex_masks() if m & 1))
+
+
+def _valid_packings():
+    yield from (table3_packing(r) for r in range(4, 9))
+    yield from (_matching_half(r) for r in range(2, 6))
+    yield rho3_witness(5, 2)
+    yield rho4_witness(9, 3)
+    yield block_packing(8, 3, 5)
+
+
+class TestTwoPackingRows:
+    """The row-at-a-time verifier against the pair-by-pair reference: the
+    same violating pair and the same `checked_count`, exactly."""
+
+    def _agrees(self, S):
+        report = verify_2_packing(S)
+        violation, checked = _reference_2_packing(S)
+        assert report.witness_violation == violation
+        assert report.checked_count == checked
+        return report
+
+    def test_valid_families(self):
+        for S in _valid_packings():
+            report = self._agrees(S)
+            assert report.valid
+            assert report.checked_count == len(S) * (len(S) - 1) // 2
+
+    @pytest.mark.parametrize("r,t,size,rounds,seed", [
+        (6, 3, 4, 1, 1), (9, 4, 4, 3, 4), (8, 3, 5, 1, 6), (16, 5, 5, 3, 8),
+    ])
+    def test_perturbed_families(self, r, t, size, rounds, seed):
+        S = perturb_packing(block_packing(r, t, size), random.Random(seed),
+                            rounds)
+        assert self._agrees(S).valid
+
+    def test_invalid_families(self):
+        # random families, and valid ones with one member moved, one member
+        # added that clashes with the last member alone, or reversed with
+        # such a member first
+        rng = random.Random(2107)
+        invalid = clashes = 0
+        for n, r in [(7, 3), (9, 4), (10, 4), (12, 5), (8, 3), (4, 2)]:
+            pool = vertices(KneserParams(n, r))
+            for _ in range(30):
+                members = rng.sample(pool, rng.randint(2, min(12, len(pool))))
+                invalid += not self._agrees(
+                    VertexFamily(KneserParams(n, r), tuple(members))).valid
+        for S in _valid_packings():
+            allowed = packing_intersections(S.params)
+            masks = list(S.member_masks())
+            n, r = S.params.n, S.params.r
+            draws = [Vertex.from_elements(rng.sample(range(1, n + 1), r)).mask
+                     for _ in range(500)]
+            fresh = [m for m in draws if m not in masks]
+            for m in fresh[:5]:
+                moved = list(masks)
+                moved[rng.randrange(len(moved))] = m
+                invalid += not self._agrees(VertexFamily(
+                    S.params, tuple(Vertex(x) for x in moved))).valid
+            clash = next((m for m in fresh
+                          if (m & masks[-1]).bit_count() not in allowed
+                          and all((m & u).bit_count() in allowed
+                                  for u in masks[:-1])), None)
+            if clash is not None:
+                clashes += 1
+                for order in (masks + [clash], [clash] + masks[::-1]):
+                    report = self._agrees(VertexFamily(
+                        S.params, tuple(Vertex(x) for x in order)))
+                    assert not report.valid
+                    invalid += 1
+        assert invalid > 100 and clashes >= 5
 
 
 class TestDelsarteDual:

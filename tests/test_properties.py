@@ -1,5 +1,6 @@
-"""Property tests: the domination verifier under relabellings of [n], and
-the Delsarte dual against its independent check."""
+"""Property tests: the domination verifier under relabellings of [n], the
+2-packing verifier on subfamilies, and the Delsarte dual against its
+independent check."""
 
 import pytest
 
@@ -13,8 +14,10 @@ from kneserdom import (
     Vertex,
     VertexFamily,
     verify,
+    verify_2_packing,
 )
 from kneserdom.certify import check_delsarte_dual, is_defined
+from kneserdom.construct import TABLE3_PACKINGS, table3_packing
 from kneserdom.solve import delsarte_lp
 
 from helpers import closed_neighbor_count, open_neighbor_count
@@ -96,3 +99,24 @@ def test_delsarte_dual_proves_the_lp_value(params):
     with pytest.raises(InternalCheckError,
                        match="^Delsarte dual violates the constraint"):
         check_delsarte_dual(params, half, 1 + sum(half))
+
+
+@st.composite
+def packing_subfamilies(draw):
+    """A recorded 2-packing of K(3r-3, r) and a subfamily of it, members in
+    any order."""
+    S = table3_packing(draw(st.sampled_from(sorted(TABLE3_PACKINGS))))
+    picks = draw(st.lists(st.sampled_from(range(len(S))), unique=True))
+    return S, VertexFamily(S.params, tuple(S.members[i] for i in picks))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(packing_subfamilies())
+def test_subfamily_of_a_packing_is_a_packing(case):
+    """Distance >= 3 is a condition on each pair alone, so every subfamily
+    of a valid 2-packing is valid, with every one of its pairs checked."""
+    S, sub = case
+    assert verify_2_packing(S).valid
+    report = verify_2_packing(sub)
+    assert report.valid
+    assert report.checked_count == len(sub) * (len(sub) - 1) // 2

@@ -128,7 +128,7 @@ class TestAsymptoticRegime:
         # bound and the clique before any graph is built
         assert n >= r * (k + r)
 
-        def no_graph(masks, sizes):
+        def no_graph(masks, contains, sizes, deadline=None):
             raise AssertionError("graph built in the forced-clique regime")
 
         monkeypatch.setattr(kneserdom.solve, "_relation_bitsets", no_graph)
@@ -159,7 +159,7 @@ class TestAsymptoticRegime:
     def test_boundary_row_closes_without_search(self, k, r, monkeypatch):
         # n = r(k+r)-1: the theorem bound k+r+1 and gamma_kt_boundary close
         # all three kinds before any graph is built
-        def no_graph(masks, sizes):
+        def no_graph(masks, contains, sizes, deadline=None):
             raise AssertionError("graph built on the boundary row")
 
         monkeypatch.setattr(kneserdom.solve, "_relation_bitsets", no_graph)
@@ -303,7 +303,7 @@ class TestRho2:
     def test_matching_closes_without_search(self, r, monkeypatch):
         # K(2r,r) is a perfect matching, so rho2 is half its vertices,
         # attained by the r-sets that contain element 1
-        def no_graph(masks, sizes):
+        def no_graph(masks, contains, sizes, deadline=None):
             raise AssertionError("graph built for a perfect matching")
 
         monkeypatch.setattr(kneserdom.solve, "_relation_bitsets", no_graph)
@@ -347,7 +347,7 @@ class TestRho2:
     @pytest.mark.parametrize("n,r,value", [(8, 3, 1), (24, 9, 4), (13, 5, 3)])
     def test_shortcuts_build_no_graph(self, n, r, value, monkeypatch):
         # diameter 2 (K(8,3)) and the threshold ranges close without search
-        def no_graph(masks, sizes):
+        def no_graph(masks, contains, sizes, deadline=None):
             raise AssertionError("graph built for a forced 2-packing number")
 
         monkeypatch.setattr(kneserdom.solve, "_relation_bitsets", no_graph)
@@ -368,22 +368,23 @@ class TestRho2:
 
     def test_search_agrees_without_symmetry(self):
         a = solve_rho2(KneserParams(9, 4), SolverConfig(symmetry_breaking=True))
-        # the plain search takes about 23 s on 2 CPUs; the budget is far
+        # the plain search takes about 20 s on 2 CPUs; the budget is far
         # above that, so the result does not depend on machine speed
         b = solve_rho2(KneserParams(9, 4),
                        SolverConfig(timeout=1200, symmetry_breaking=False))
         assert a.value == b.value == 12
         # the orbit rule cuts the search with symmetry breaking; without it
-        # the nodes are those of the plain search, which the color cut keeps
-        assert (a.nodes, b.nodes) == (449, 2_378_117)
+        # the nodes are those of the plain search, which the color bound and
+        # its infra-chromatic absorptions cut
+        assert (a.nodes, b.nodes) == (342, 1_517_590)
 
     def test_k125_closes_at_12(self):
         """rho2(K(12,5)) = 12, the recorded Table 2 value, proved by search:
-        orbital branching up to cliques of four members keeps it to 2,930
-        nodes."""
+        orbital branching up to cliques of four members and the
+        infra-chromatic bound keep it to 1,993 nodes."""
         res = solve_rho2(KneserParams(12, 5), SolverConfig(timeout=600))
         assert res.optimal and res.value == 12
-        assert res.nodes == 2_930
+        assert res.nodes == 1_993
         assert len(res.witness) == 12
         assert verify_2_packing(res.witness).valid
 
@@ -671,7 +672,7 @@ def _apply(perm, mask):
 
 
 class TestOrbits:
-    """`solve._orbits(masks, sets, among)` returns the orbits of the
+    """`solve._orbits(contains, sets, among)` returns the orbits of the
     permutations fixing every set in `sets`, cut down to `among`: over all
     vertices each class is closed under them, and each is one orbit; over
     fewer, each is its full class within `among`. Checked on one, two and
@@ -688,12 +689,13 @@ class TestOrbits:
             picks += [[0] + rng.sample(others, count - 1) for _ in range(2)]
         picks.append([0] + [rng.choice(others)] * 2)
         everyone = (1 << len(masks)) - 1
+        contains = kneserdom.solve._containers(masks)
         for pick in picks:
             sets = [masks[t] for t in pick]
-            orbit = kneserdom.solve._orbits(masks, sets, everyone)
+            orbit = kneserdom.solve._orbits(contains, sets, everyone)
             for _ in range(5):
                 among = rng.getrandbits(len(masks))
-                assert kneserdom.solve._orbits(masks, sets, among) == {
+                assert kneserdom.solve._orbits(contains, sets, among) == {
                     v: orbit[v] & among for v in range(len(masks))
                     if among >> v & 1}
             for _ in range(5):
@@ -726,6 +728,7 @@ class TestOrbits:
         # itself: each exclusion at a clique C uses the orbits of the
         # permutations that fix every member of C, keyed on C's candidates.
         solve = kneserdom.solve
+        masks = list(KneserParams(n, r).vertex_masks())
         stack, calls = [], []
         expand, orbits = solve._CliqueSearch.expand, solve._orbits
 
@@ -736,11 +739,11 @@ class TestOrbits:
             finally:
                 stack.pop()
 
-        def traced_orbits(masks, sets, among):
+        def traced_orbits(contains, sets, among):
             clique, candidates = stack[-1]
             calls.append((list(sets), [masks[c] for c in clique]))
             assert among & ~candidates == 0
-            return orbits(masks, sets, among)
+            return orbits(contains, sets, among)
 
         monkeypatch.setattr(solve._CliqueSearch, "expand", traced_expand)
         monkeypatch.setattr(solve, "_orbits", traced_orbits)
@@ -749,6 +752,95 @@ class TestOrbits:
         for sets, clique in calls:
             assert sets == clique and 1 <= len(clique) <= solve._ORBIT_DEPTH
         assert any(len(clique) == solve._ORBIT_DEPTH for _, clique in calls)
+
+
+def _has_clique(compat, cand, size):
+    """Whether the vertices of the bitset `cand` hold a clique of `size`
+    members, by exhaustive search with no bound but the count left."""
+    if size <= 0:
+        return True
+    while cand.bit_count() >= size:
+        v = cand.bit_length() - 1
+        cand ^= 1 << v
+        if _has_clique(compat, cand & compat[v], size - 1):
+            return True
+    return False
+
+
+def _greedy_classes(compat, p_mask):
+    """The plain class-by-class greedy coloring of `p_mask`: each class
+    takes the lowest vertex left and every later one not adjacent to it."""
+    classes = []
+    while p_mask:
+        q, cls = p_mask, 0
+        while q:
+            low = q & -q
+            cls |= low
+            p_mask ^= low
+            q &= ~(compat[low.bit_length() - 1] | low)
+        classes.append(cls)
+    return classes
+
+
+class TestInfraChromatic:
+    """`_CliqueSearch.color_order` leaves a candidate out of the branching
+    list only while the candidates left out hold no clique of kmin members:
+    ω(P minus the branching list) <= kmin - 1. The kept vertices keep their
+    plain greedy colors in order, one independent class per color, so each
+    kept color bounds the clique number of everything up to it.
+
+    Value tests cannot see an unsound prune on graphs this symmetric, so
+    the bound is checked by brute force: at every node of the ρ₂ searches of
+    K(7,3), K(9,4) and K(10,4), and on random candidate sets of their
+    compatibility graphs at every kmin."""
+
+    @staticmethod
+    def _check(compat, p_mask, kmin, order, colors):
+        """Assert the bound at one call; return how many vertices of color
+        >= kmin were absorbed, left out of the branching list."""
+        plain = _greedy_classes(compat, p_mask)
+        assert all(plain[c - 1] >> v & 1 for v, c in zip(order, colors))
+        assert colors == sorted(colors)
+        kept = sum(1 << v for v in order)
+        assert kept.bit_count() == len(order)
+        assert not _has_clique(compat, p_mask & ~kept, kmin)
+        return (sum(plain[kmin - 1:]) & ~kept).bit_count()
+
+    @pytest.mark.parametrize("n,r", [(7, 3), (9, 4), (10, 4)])
+    def test_every_search_node(self, n, r, monkeypatch):
+        solve = kneserdom.solve
+        color_order = solve._CliqueSearch.color_order
+        absorbed = []
+
+        def traced(self, p_mask, kmin):
+            order, colors = color_order(self, p_mask, kmin)
+            absorbed.append(TestInfraChromatic._check(
+                self.compat, p_mask, kmin, order, colors))
+            return order, colors
+
+        monkeypatch.setattr(solve._CliqueSearch, "color_order", traced)
+        res = solve_rho2(KneserParams(n, r))
+        assert res.optimal and len(absorbed) == res.nodes
+        if (n, r) == (9, 4):  # the other two close in a few nodes
+            assert sum(absorbed) > 0
+
+    @pytest.mark.parametrize("n,r", [(7, 3), (9, 4), (10, 4)])
+    def test_random_candidate_sets(self, n, r):
+        params = KneserParams(n, r)
+        masks = list(params.vertex_masks())
+        contains = kneserdom.solve._containers(masks)
+        compat = kneserdom.solve._relation_bitsets(
+            masks, contains, packing_intersections(params))
+        search = kneserdom.solve._CliqueSearch(compat, masks, contains,
+                                               len(masks), True, None)
+        rng = random.Random(100 * n + r)
+        absorbed = 0
+        for _ in range(10):
+            p_mask = rng.getrandbits(len(masks))
+            for kmin in range(1, len(_greedy_classes(compat, p_mask)) + 2):
+                order, colors = search.color_order(p_mask, kmin)
+                absorbed += self._check(compat, p_mask, kmin, order, colors)
+        assert absorbed > 0
 
 
 class TestRelationBitsets:
@@ -770,7 +862,8 @@ class TestRelationBitsets:
                     if j != i and (mi & mj).bit_count() in sizes)
                 for i, mi in enumerate(masks)
             ]
-            assert kneserdom.solve._relation_bitsets(masks, sizes) == reference
+            assert kneserdom.solve._relation_bitsets(
+                masks, kneserdom.solve._containers(masks), sizes) == reference
 
 
 # Delsarte's LP bound of K(n,r): exact values, and the floors of K(3r-4, r)
@@ -819,7 +912,7 @@ class TestDelsarte:
                                                     monkeypatch):
         # the recorded packing of K(3r-3, r) meets the LP floor, so rho2 is
         # closed before any graph is built
-        def no_graph(masks, sizes):
+        def no_graph(masks, contains, sizes, deadline=None):
             raise AssertionError("graph built for a closed 2-packing number")
 
         monkeypatch.setattr(kneserdom.solve, "_relation_bitsets", no_graph)
@@ -870,8 +963,8 @@ class TestTimeout:
         # that outlasts it stops the search at its first deadline check
         build = kneserdom.solve._relation_bitsets
 
-        def slow_build(masks, sizes, deadline):
-            compat = build(masks, sizes, deadline)
+        def slow_build(masks, contains, sizes, deadline):
+            compat = build(masks, contains, sizes, deadline)
             time.sleep(0.1)
             return compat
 

@@ -118,6 +118,24 @@ def test_capacity_is_checked_only_in_core():
     assert outside == []
 
 
+def test_certify_imports_no_solver_code():
+    """The verifiers share no code with the searches they check: certify.py
+    imports the standard library and, of the package, core alone."""
+    tree = ast.parse((Path(kneserdom.__file__).resolve().parent
+                      / "certify.py").read_text())
+    outside = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module != "core":
+                outside.append(f"{node.lineno}:.{node.module or ''}")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = ([node.module] if isinstance(node, ast.ImportFrom)
+                     else [alias.name for alias in node.names])
+            outside += [f"{node.lineno}:{name}" for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
+
+
 def test_cli_import_leaves_out_fractions():
     """`fractions`, which loads `decimal`, is imported only by the LP that
     needs it, so a domination-only run never loads it."""
