@@ -231,9 +231,11 @@ def verify_2_packing(S: VertexFamily) -> VerificationReport:
     the pairs up to it.
 
     Each row is one bit-parallel step. holders[x] is the bitset of the
-    members containing element x, and adding the holders of member i's
-    elements into a bit-sliced counter leaves, in bit j of digit d, binary
-    digit d of |members[i] ∩ members[j]| for every j at once. The later j
+    members containing element x; shifted right past member i, it holds
+    only the later members. Adding those of member i's elements into a
+    bit-sliced counter, with a ripple carry that stops once the carry is
+    empty, leaves in bit b of digit d binary digit d of
+    |members[i] ∩ members[i+1+b]| for every later member at once. The ones
     whose count spells no allowed size violate. Families with at most one
     member are trivially valid.
     """
@@ -246,29 +248,31 @@ def verify_2_packing(S: VertexFamily) -> VerificationReport:
             holders[low] = holders.get(low, 0) | 1 << j
             m ^= low
     width = S.params.r.bit_length()  # no intersection exceeds r
-    full = (1 << len(members)) - 1
     checked = 0
     for i, u in enumerate(members):
+        later = len(members) - 1 - i
         digits = [0] * width
         m = u.mask
         while m:
             low = m & -m
-            carry = holders[low]
-            for d in range(width):
-                digits[d], carry = digits[d] ^ carry, digits[d] & carry
+            carry = holders[low] >> (i + 1)
+            for d, digit in enumerate(digits):
+                digits[d], carry = digit ^ carry, digit & carry
+                if not carry:
+                    break
             m ^= low
-        ok = 0
+        bad = (1 << later) - 1  # the later members; allowed sizes leave it
         for size in allowed:
-            equal = full
+            equal = bad
             for d, digit in enumerate(digits):
                 equal &= digit if size >> d & 1 else ~digit
-            ok |= equal
-        bad = full & ~ok & -(2 << i)  # the later members that violate
+            bad ^= equal
         if bad:
-            j = (bad & -bad).bit_length() - 1
+            b = (bad & -bad).bit_length() - 1
             return VerificationReport(InvariantKind.TWO_PACKING, 0,
-                                      (u, members[j]), checked + j - i)
-        checked += len(members) - 1 - i
+                                      (u, members[i + 1 + b]),
+                                      checked + b + 1)
+        checked += later
     return VerificationReport(InvariantKind.TWO_PACKING, 0, None, checked)
 
 

@@ -19,10 +19,11 @@ shortcuts where the value is forced: diameter-2 graphs, the perfect matching
 K(2r,r), and the threshold ranges where counting the occurrences of elements
 in a normalized packing pins the value to 3 or 4. Elsewhere in the band
 2r+1 <= n <= 3r-2 the floor of Delsarte's LP over the Johnson scheme, solved
-exactly in fractions and proved by a dual vector that `certify` checks,
-bounds the clique search, or closes the instance when a recorded packing
-meets it. On the paper's boundary row n = r(k+r)-1 the domination numbers
-close by the theorem bound k+r+1 and the `gamma_kt_boundary` family.
+exactly on a fraction-free integer tableau and proved by a dual vector that
+`certify` checks, bounds the clique search, or closes the instance when a
+recorded packing meets it. On the paper's boundary row n = r(k+r)-1 the
+domination numbers close by the theorem bound k+r+1 and the
+`gamma_kt_boundary` family.
 
 Both graphs relate two vertices by the size of their intersection: 0 for
 K(n,r) itself, `packing_intersections` for the compatibility graph. One
@@ -35,7 +36,11 @@ symmetric group acts vertex-transitively, and branch on one vertex per orbit
 of the permutations fixing what is already chosen (orbital branching): the
 domination search at the level after v0, the clique search at every clique
 of at most four members. The orbits come from intersection sizes with the
-Venn atoms of the fixed sets, counted for all candidates at once.
+Venn atoms of the fixed sets, counted for all candidates at once. The clique
+search carries them down the clique: a child refines its parent's classes,
+cut down to its own candidates, by the counts in the new member's parts
+alone (`_refine`), and a clique whose classes are all single vertices keys
+nothing below it.
 
 A solver's budget counts from the start of the solve, graph build included,
 and is checked inside the search, at every move of the domination local
@@ -52,7 +57,7 @@ import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
-from math import comb, floor
+from math import comb, floor, gcd, lcm
 from typing import TYPE_CHECKING
 
 from .certify import (
@@ -70,7 +75,6 @@ from .core import (
     Vertex,
     VertexFamily,
     internal_check,
-    venn_atoms,
 )
 from .construct import (
     TABLE3_PACKINGS,
@@ -198,24 +202,64 @@ def _slices(contains: list[int], elements: Iterable[int]) -> list[int]:
     return count
 
 
-def _orbits(contains: list[int], sets: list[int],
-            among: int) -> dict[int, int]:
-    """orbit[v] for each v in the bitset `among`: the bitset of the members of
-    `among` in v's orbit under the permutations of [n] that fix each set in
-    `sets` setwise.
+def _refine(contains: list[int], classes: list[int], atoms: list[int],
+            member: int, among: int) -> tuple[list[int], list[int]]:
+    """One step of orbit keying: the orbit classes and Venn atoms once
+    `member` is fixed too, the classes cut down to the bitset `among`.
 
-    Those permutations are the ones that map each Venn atom of the sets onto
-    itself (`venn_atoms`), so an r-set's orbit is fixed by how many elements
-    it takes from each atom. The atom outside every set needs no count, as r
-    determines it. `among` is split by every binary digit of every atom's
-    count (`_slices`), all vertices at once.
+    The permutations of [n] fixing some sets setwise are the ones mapping
+    each Venn atom of the sets onto itself, so an r-set's orbit is fixed by
+    how many elements it takes from each atom; r fixes its count in the
+    atom outside every set, which `atoms` leaves out. `classes` are the
+    orbits of the sets fixed so far that hold two vertices or more, and
+    `atoms` their Venn atoms. Fixing `member` splits each atom A into
+    A & member and A - member and adds the part of `member` outside every
+    atom. A vertex's count in A - member is its count in A, the same across
+    its class, less its count in A & member, so a class splits only by its
+    counts in the parts of `member`: each A & member and the part outside,
+    r elements in all. Each part splits the classes on every binary digit of
+    its count (`_slices`), all vertices at once. Classes of one vertex are
+    dropped, and once none is left the atoms are not worked out.
     """
-    classes = [among]
-    for atom in venn_atoms(sets).values():
-        for digit in _slices(contains, _bits(atom)):
-            classes = [part for cls in classes
-                       for part in (cls & digit, cls & ~digit) if part]
-    return {v: cls for cls in classes for v in _bits(cls)}
+    classes = [part for cls in classes if (part := cls & among) & (part - 1)]
+    if not classes:
+        return [], []
+    outside = member
+    parts, split = [], []
+    for atom in atoms:
+        outside &= ~atom
+        if atom & member:
+            parts.append(atom & member)
+        split += [piece for piece in (atom & member, atom & ~member) if piece]
+    if outside:
+        parts.append(outside)
+        split.append(outside)
+    for part in parts:
+        for digit in _slices(contains, _bits(part)):
+            classes = [piece for cls in classes
+                       for piece in (cls & digit, cls & ~digit)
+                       if piece & (piece - 1)]
+        if not classes:
+            return [], []
+    return classes, split
+
+
+def _orbits(contains: list[int], sets: list[int], among: int) -> list[int]:
+    """The orbits within the bitset `among` of the permutations of [n] that
+    fix each set in `sets` setwise, those of two vertices or more: the
+    `_refine` step folded over `sets`. `_orbit` looks a vertex's up."""
+    classes, atoms = [among], []
+    for member in sets:
+        classes, atoms = _refine(contains, classes, atoms, member, among)
+    return classes
+
+
+def _orbit(classes: list[int], v: int) -> int:
+    """The class of `classes` that holds v, or v alone if none does."""
+    for cls in classes:
+        if cls >> v & 1:
+            return cls
+    return 1 << v
 
 
 def _relation_bitsets(masks: list[int], contains: list[int],
@@ -284,40 +328,51 @@ def delsarte_lp(n: int, r: int) -> tuple[Fraction, list[Fraction]]:
     in D = {r-cap, ..., r-1}, cap = 3r-1-n. Its distance distribution a
     satisfies 1 + sum_d a_d E_d(k)/(C(r,d) C(n-r,d)) >= 0 for k = 1..r, so
     its size 1 + sum_d a_d is at most the LP's maximum. The primal simplex
-    on a dense Fraction tableau starts at a = 0, which is feasible since
-    every right-hand side is 1, and pivots by Bland's rule, which cannot
-    cycle. At the optimum the slack columns of the objective row hold y,
-    and the bound is 1 + sum(y).
+    starts at a = 0, which is feasible since every right-hand side is 1, and
+    pivots by Bland's rule, which cannot cycle. At the optimum the slack
+    columns of the objective row hold y, and the bound is 1 + sum(y).
+
+    The tableau is fraction-free: each row is a positive integer multiple of
+    the row of the Fraction tableau, made by clearing denominators, kept so
+    by pivoting row <- p * row - row[e] * pivot, p = pivot[e] > 0, and then
+    divided by its gcd. A positive multiple keeps the signs that choose the
+    entering column and the ratios that choose the leaving row, so the
+    pivots are those of the Fraction tableau. The objective row carries one
+    more column, the objective's own, which holds its multiple; Fractions are
+    built only for the ratio test and for the bound and dual returned.
     """
     from fractions import Fraction  # loads decimal: only the LP pays for it
     cap = 3 * r - 1 - n
     dists = range(r - cap, r)
     width = cap + r  # the a_d columns, then one slack column per k
-    rows = []
-    for k in range(1, r + 1):
-        row = [Fraction(-_eberlein(n, r, d, k), comb(r, d) * comb(n - r, d))
-               for d in dists]
-        row += [Fraction(int(i == k - 1)) for i in range(r)] + [Fraction(1)]
-        rows.append(row)
-    objective = [Fraction(-1)] * cap + [Fraction(0)] * (r + 1)
+    sizes = [comb(r, d) * comb(n - r, d) for d in dists]
+    scale = lcm(*sizes)
+    rows = [[-_eberlein(n, r, d, k) * (scale // size)
+             for d, size in zip(dists, sizes)]
+            + [scale * (i == k - 1) for i in range(r)] + [0, scale]
+            for k in range(1, r + 1)]
+    objective = [-1] * cap + [0] * r + [1, 0]
     basis = list(range(cap, width))
     while True:
         entering = next((j for j in range(width) if objective[j] < 0), None)
         if entering is None:
             break
-        candidates = [(row[-1] / row[entering], basis[i], i)
+        candidates = [(Fraction(row[-1], row[entering]), basis[i], i)
                       for i, row in enumerate(rows) if row[entering] > 0]
         internal_check(bool(candidates), "Delsarte LP is unbounded")
         _, _, leaving = min(candidates)
         pivot = rows[leaving]
-        scale = pivot[entering]
-        pivot[:] = [x / scale for x in pivot]
+        lead = pivot[entering]
         for row in rows + [objective]:
             factor = row[entering]
             if row is not pivot and factor:
-                row[:] = [x - factor * p for x, p in zip(row, pivot)]
+                row[:] = [lead * x - factor * p for x, p in zip(row, pivot)]
+                divisor = gcd(*row)
+                row[:] = [x // divisor for x in row]
         basis[leaving] = entering
-    return 1 + objective[-1], objective[cap:width]
+    multiple = objective[width]
+    return (1 + Fraction(objective[-1], multiple),
+            [Fraction(y, multiple) for y in objective[cap:width]])
 
 
 # --- exact domination solver ---------------------------------------------
@@ -568,9 +623,9 @@ class _DominationSearch:
         if target is None:
             return None
         avail = self.helpers[target] & ~self.chosen & ~banned
-        orbit = (_orbits(self.contains,
-                         [self.masks[0], self.masks[target]], avail)
-                 if orbital else None)
+        orbits = (_orbits(self.contains,
+                          [self.masks[0], self.masks[target]], avail)
+                  if orbital else [])
         for v in _bits(avail):
             if banned >> v & 1:
                 continue  # in the orbit of a vertex already branched on
@@ -579,7 +634,7 @@ class _DominationSearch:
             self._place(v, -1)
             if result is not None:
                 return result
-            banned |= orbit[v] if orbit else 1 << v
+            banned |= _orbit(orbits, v)
         return None
 
 
@@ -666,25 +721,25 @@ def solve_domination(
 # Orbital branching runs at the cliques of at most this many members; deeper
 # nodes exclude single vertices. Nodes (exact) and CPU seconds (2 CPUs,
 # Python 3.11.7, best of 7, indicative) at depth 2 / 3 / 4 / 5 / every depth,
-# with the infra-chromatic bound: rho2(9,4) 1,113 / 531 / 342 / 333 / 333
-# nodes in 0.019 / 0.0065 / 0.0057 / 0.0072 / 0.010 s; rho2(12,5) 36,492 /
-# 4,593 / 1,993 / 1,623 / 1,616 in 0.64 / 0.085 / 0.047 / 0.056 / 0.082 s.
-# Depth 4 is fastest.
+# with the infra-chromatic bound and carried orbits: rho2(9,4) 1,113 / 531 /
+# 342 / 333 / 333 nodes in 0.010 / 0.0053 / 0.0042 / 0.0045 / 0.0046 s;
+# rho2(12,5) 36,492 / 4,593 / 1,993 / 1,623 / 1,616 in 0.52 / 0.064 / 0.035 /
+# 0.036 / 0.038 s. Depth 4 is fastest.
 _ORBIT_DEPTH = 4
 
 
 class _CliqueSearch:
     """Tomita-style maximum clique with greedy-coloring bounds tightened by
     the infra-chromatic bound (`color_order`), and orbital branching at the
-    shallow cliques when `orbital` is set."""
+    shallow cliques when the root is keyed (`expand`)."""
 
     def __init__(self, compat: list[int], masks: list[int],
-                 contains: list[int], upper: int, orbital: bool,
-                 deadline: _Deadline):
+                 contains: list[int], upper: int, deadline: _Deadline):
         self.compat = compat
+        # anti[v]: everything but v and its neighbors, to build color classes
+        self.anti = [~(row | 1 << v) for v, row in enumerate(compat)]
         self.masks = masks
         self.contains = contains
-        self.orbital = orbital
         self.deadline = deadline
         self.nodes = 0
         # any single vertex is a 2-packing; a clique of `upper` ends the search
@@ -699,7 +754,9 @@ class _CliqueSearch:
         classes absorbs, in coloring order, and their 1-based colors.
 
         Every class is built, but the lower ones are not emitted: `expand`
-        stops at the first vertex whose color cannot beat the incumbent.
+        stops at the first vertex whose color cannot beat the incumbent. A
+        class below kmin is built as a bitset alone, each vertex taken
+        striking its neighbors from the rest through `anti`.
         The bound it keeps is ω(`p_mask` minus the branching list) <= kmin-1.
         A vertex v of color >= kmin is absorbed (San Segundo, Nikolaev and
         Batsyn, 2015) when, in the first unused lower class C_i where v has
@@ -710,7 +767,7 @@ class _CliqueSearch:
         candidate. Each class is maximal among the vertices left when it was
         built, so v has a neighbor in every lower class.
         """
-        compat = self.compat
+        anti = self.anti
         order: list[int] = []
         colors: list[int] = []
         lower: list[int] = []  # the unused classes below kmin
@@ -718,21 +775,23 @@ class _CliqueSearch:
         while p_mask:
             color += 1
             q = p_mask
-            members = 0
+            if color < kmin:
+                members = 0
+                while q:
+                    low = q & -q
+                    members |= low
+                    q &= anti[low.bit_length() - 1]
+                p_mask ^= members
+                lower.append(members)
+                continue
             while q:
                 low = q & -q
                 v = low.bit_length() - 1
                 p_mask ^= low
-                q &= ~(compat[v] | low)
-                if color < kmin:
-                    members |= low
-                    continue
-                if self._absorbed(v, lower):
-                    continue
-                order.append(v)
-                colors.append(color)
-            if color < kmin:
-                lower.append(members)
+                q &= anti[v]
+                if not (lower and self._absorbed(v, lower)):
+                    order.append(v)
+                    colors.append(color)
         return order, colors
 
     def _absorbed(self, v: int, lower: list[int]) -> bool:
@@ -752,23 +811,31 @@ class _CliqueSearch:
                 return False
         return False
 
-    def expand(self, clique: list[int], p_mask: int) -> None:
+    def expand(self, clique: list[int], p_mask: int,
+               keyed: tuple[list[int], list[int]] | None) -> None:
         """Extend `clique` by the candidates `p_mask`.
 
         A branch is cut when its coloring bound, capped by `upper`, cannot
         beat `best`; so once `best` reaches `upper` every level returns.
 
-        With `orbital` and a clique C of at most _ORBIT_DEPTH members, a
-        branch on v, once done, excludes v's whole orbit under G_C, the
-        permutations of [n] fixing every member of C; deeper, it excludes v
-        alone. This is sound: G_C lies in the group of every prefix of C, so
-        each ancestor's exclusions are unions of G_C-orbits. A clique through
-        C and a w in v's orbit that avoids every exclusion so far therefore
-        maps, under the g in G_C with g(w) = v, to a clique of the same size
-        through C and v that avoids them too, which v's branch has searched.
-        The orbits are keyed on the candidates when the first branch returns;
+        At a keyed clique C, one of at most _ORBIT_DEPTH members, a branch
+        on v, once done, excludes v's whole orbit under G_C, the
+        permutations of [n] fixing every member of C; elsewhere it excludes
+        v alone. This is sound: G_C lies in the group of every prefix of C,
+        so each ancestor's exclusions are unions of G_C-orbits. A clique
+        through C and a w in v's orbit that avoids every exclusion so far
+        therefore maps, under the g in G_C with g(w) = v, to a clique of the
+        same size through C and v that avoids them too, which v's branch has
+        searched.
+
+        `keyed` is the parent's orbit classes and Venn atoms (`_refine`), or
+        None at a clique that keys nothing. Before its first branch a keyed
+        node refines them by its last member, cut down to its candidates;
         `p_mask` has lost no vertex by then and only shrinks after, so each
-        orbit restricted to them excludes what the whole orbit would.
+        orbit restricted to it excludes what the whole orbit would. Its
+        children inherit the result while they have at most _ORBIT_DEPTH
+        members and some class holds two vertices or more. The root [v0] is
+        keyed with the one class of all its candidates and no atoms.
         """
         self.nodes += 1
         if self.nodes % 256 == 0:
@@ -777,7 +844,7 @@ class _CliqueSearch:
             self.best = len(clique)
             self.best_clique = list(clique)
         order, colors = self.color_order(p_mask, self.best - len(clique) + 1)
-        orbit = None
+        classes: list[int] = []
         for idx in range(len(order) - 1, -1, -1):
             v = order[idx]
             if min(len(clique) + colors[idx], self.upper) <= self.best:
@@ -785,13 +852,16 @@ class _CliqueSearch:
             if not p_mask >> v & 1:
                 # excluded with an orbit; the colors still bound the rest
                 continue
+            if keyed:
+                classes, atoms = _refine(self.contains, *keyed,
+                                         self.masks[clique[-1]], p_mask)
+                keyed = None
             clique.append(v)
-            self.expand(clique, p_mask & self.compat[v])
+            self.expand(clique, p_mask & self.compat[v],
+                        (classes, atoms)
+                        if classes and len(clique) <= _ORBIT_DEPTH else None)
             clique.pop()
-            if orbit is None and self.orbital and len(clique) <= _ORBIT_DEPTH:
-                orbit = _orbits(self.contains,
-                                [self.masks[c] for c in clique], p_mask)
-            p_mask &= ~orbit[v] if orbit else ~(1 << v)
+            p_mask &= ~_orbit(classes, v)
 
 
 def solve_rho2(params: KneserParams, cfg: SolverConfig | None = None) -> SolveResult:
@@ -859,8 +929,7 @@ def solve_rho2(params: KneserParams, cfg: SolverConfig | None = None) -> SolveRe
         witness = _to_family(params, masks, [0])
         return _certified(witness, InvariantKind.TWO_PACKING, 0,
                           upper, 0, start)
-    search = _CliqueSearch(compat, masks, contains, upper,
-                           cfg.symmetry_breaking, deadline)
+    search = _CliqueSearch(compat, masks, contains, upper, deadline)
     # Any maximum 2-packing maps, by vertex-transitivity, to one containing
     # the colex-first vertex, so search only extensions of it.
     if cfg.symmetry_breaking:
@@ -868,7 +937,7 @@ def solve_rho2(params: KneserParams, cfg: SolverConfig | None = None) -> SolveRe
     else:
         root, root_p = [], (1 << len(masks)) - 1
     try:
-        search.expand(root, root_p)
+        search.expand(root, root_p, ([root_p], []) if root else None)
         upper = search.best  # exhaustive, or stopped at the bound
     except _Timeout:
         pass

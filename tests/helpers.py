@@ -1,13 +1,15 @@
 """Shared builders and independent oracles for the test suite: block
 packings, seeded perturbations, neighbor counts, the distance <= 2 test, a
-brute-force domination solver, and vertex-by-vertex and pair-by-pair
-references."""
+brute-force domination solver, vertex-by-vertex and pair-by-pair
+references, and Delsarte's LP on a Fraction tableau."""
 
 from __future__ import annotations
 
 import random
 import time
+from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from kneserdom import (
     CapacityError,
@@ -253,3 +255,44 @@ def bron_kerbosch_rho2(params: KneserParams) -> int:
 
     expand(0, set(far), set())
     return best
+
+
+def reference_delsarte_lp(n: int, r: int) -> tuple[Fraction, list[Fraction]]:
+    """Delsarte's LP bound on the 2-packings of K(n,r) inside the band and
+    its dual, by the primal simplex on a dense Fraction tableau with Bland's
+    rule: `solve.delsarte_lp` must make the same pivots and return the same
+    bound and dual exactly. Rows k = 1..r read
+    -sum_d a_d E_d(k)/(C(r,d) C(n-r,d)) + s_k = 1 over the distances d of a
+    2-packing, r-cap .. r-1 with cap = 3r-1-n; the objective is sum_d a_d."""
+    def eberlein(d: int, k: int) -> int:
+        return sum((-1) ** j * comb(k, j) * comb(r - k, d - j)
+                   * comb(n - r - k, d - j) for j in range(min(k, d) + 1))
+
+    cap = 3 * r - 1 - n
+    dists = range(r - cap, r)
+    width = cap + r  # the a_d columns, then one slack column per k
+    rows = []
+    for k in range(1, r + 1):
+        row = [Fraction(-eberlein(d, k), comb(r, d) * comb(n - r, d))
+               for d in dists]
+        row += [Fraction(int(i == k - 1)) for i in range(r)] + [Fraction(1)]
+        rows.append(row)
+    objective = [Fraction(-1)] * cap + [Fraction(0)] * (r + 1)
+    basis = list(range(cap, width))
+    while True:
+        entering = next((j for j in range(width) if objective[j] < 0), None)
+        if entering is None:
+            break
+        candidates = [(row[-1] / row[entering], basis[i], i)
+                      for i, row in enumerate(rows) if row[entering] > 0]
+        assert candidates, "Delsarte LP is unbounded"
+        _, _, leaving = min(candidates)
+        pivot = rows[leaving]
+        scale = pivot[entering]
+        pivot[:] = [x / scale for x in pivot]
+        for row in rows + [objective]:
+            factor = row[entering]
+            if row is not pivot and factor:
+                row[:] = [x - factor * p for x, p in zip(row, pivot)]
+        basis[leaving] = entering
+    return 1 + objective[-1], objective[cap:width]

@@ -1,6 +1,6 @@
-"""Property tests: the domination verifier under relabellings of [n], the
-2-packing verifier on subfamilies, and the Delsarte dual against its
-independent check."""
+"""Property tests: the domination verifier under relabellings of [n] and on
+supersets of valid families, the 2-packing verifier on subfamilies, and the
+Delsarte dual against its independent check."""
 
 import pytest
 
@@ -120,3 +120,34 @@ def test_subfamily_of_a_packing_is_a_packing(case):
     report = verify_2_packing(sub)
     assert report.valid
     assert report.checked_count == len(sub) * (len(sub) - 1) // 2
+
+
+@st.composite
+def valid_families_and_supersets(draw):
+    """A valid family of K(n,2), n <= 8, or of K(7,3) for a defined kind and
+    k, and a superset of it: the shortest valid prefix of a random order of
+    the vertices, then any vertices added."""
+    n, r = draw(st.sampled_from([(n, 2) for n in range(4, 9)] + [(7, 3)]))
+    params = KneserParams(n, r)
+    kind = draw(st.sampled_from(KINDS))
+    k = draw(st.integers(1, 3))
+    assume(is_defined(params, kind, k))
+    pool = [Vertex(m) for m in params.vertex_masks()]
+    order = draw(st.permutations(pool))
+    size = next(size for size in range(1, len(pool) + 1)
+                if verify(VertexFamily(params, tuple(order[:size])), kind,
+                          k).valid)
+    added = draw(st.lists(st.sampled_from(pool), unique=True))
+    base = VertexFamily(params, tuple(order[:size]))
+    extra = tuple(v for v in added if v not in base)
+    return base, VertexFamily(params, base.members + extra), kind, k
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(valid_families_and_supersets())
+def test_superset_of_a_valid_family_is_valid(case):
+    """Adding vertices only adds neighbours in the family, and a k-dominating
+    family exempts its new members, so every kind stays valid."""
+    base, superset, kind, k = case
+    assert verify(base, kind, k).valid
+    assert verify(superset, kind, k).valid

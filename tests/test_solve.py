@@ -38,7 +38,12 @@ from kneserdom import (
 from kneserdom.certify import check_delsarte_dual, packing_intersections
 from kneserdom.solve import delsarte_lp
 
-from helpers import bron_kerbosch_rho2, brute_force_domination, vertices
+from helpers import (
+    bron_kerbosch_rho2,
+    brute_force_domination,
+    reference_delsarte_lp,
+    vertices,
+)
 
 KD = InvariantKind.K_DOMINATION
 KT = InvariantKind.K_TUPLE
@@ -368,7 +373,7 @@ class TestRho2:
 
     def test_search_agrees_without_symmetry(self):
         a = solve_rho2(KneserParams(9, 4), SolverConfig(symmetry_breaking=True))
-        # the plain search takes about 20 s on 2 CPUs; the budget is far
+        # the plain search takes about 15 s on 2 CPUs; the budget is far
         # above that, so the result does not depend on machine speed
         b = solve_rho2(KneserParams(9, 4),
                        SolverConfig(timeout=1200, symmetry_breaking=False))
@@ -671,12 +676,32 @@ def _apply(perm, mask):
     return sum(1 << perm[x] for x in range(len(perm)) if mask >> x & 1)
 
 
+def _orbit_map(contains, sets, among):
+    """orbit[v] for each v in the bitset `among`: v's class from
+    `solve._orbits`, which lists only the classes of two or more."""
+    classes = kneserdom.solve._orbits(contains, sets, among)
+    return {v: kneserdom.solve._orbit(classes, v)
+            for v in range(among.bit_length()) if among >> v & 1}
+
+
+def _keyed_classes(n, masks, sets, among):
+    """The classes of two or more members of `among` when each vertex is
+    keyed from scratch by its count in every Venn atom of `sets`."""
+    atoms = _atoms(n, sets)
+    classes = {}
+    for v in range(among.bit_length()):
+        if among >> v & 1:
+            key = tuple(sum(masks[v] >> x & 1 for x in atom) for atom in atoms)
+            classes[key] = classes.get(key, 0) | 1 << v
+    return sorted(cls for cls in classes.values() if cls & (cls - 1))
+
+
 class TestOrbits:
-    """`solve._orbits(contains, sets, among)` returns the orbits of the
-    permutations fixing every set in `sets`, cut down to `among`: over all
-    vertices each class is closed under them, and each is one orbit; over
-    fewer, each is its full class within `among`. Checked on one, two and
-    three fixed sets, repeats included."""
+    """`solve._orbits(contains, sets, among)` lists the orbits of the
+    permutations fixing every set in `sets`, cut down to `among`, that hold
+    two vertices or more: over all vertices each class is closed under
+    them, and each is one orbit; over fewer, each is its full class within
+    `among`. Checked on one, two and three fixed sets, repeats included."""
 
     @pytest.mark.parametrize("n,r", [(7, 3), (9, 4), (11, 5)])
     def test_classes_are_orbits(self, n, r):
@@ -692,10 +717,13 @@ class TestOrbits:
         contains = kneserdom.solve._containers(masks)
         for pick in picks:
             sets = [masks[t] for t in pick]
-            orbit = kneserdom.solve._orbits(contains, sets, everyone)
+            orbit = _orbit_map(contains, sets, everyone)
+            assert sorted(kneserdom.solve._orbits(
+                contains, sets, everyone)) == _keyed_classes(
+                    n, masks, sets, everyone)
             for _ in range(5):
                 among = rng.getrandbits(len(masks))
-                assert kneserdom.solve._orbits(contains, sets, among) == {
+                assert _orbit_map(contains, sets, among) == {
                     v: orbit[v] & among for v in range(len(masks))
                     if among >> v & 1}
             for _ in range(5):
@@ -719,39 +747,55 @@ class TestOrbits:
                     assert _apply(perm, first) == m
                     assert all(_apply(perm, s) == s for s in sets)
 
-
     @pytest.mark.parametrize("n,r", [(7, 3), (9, 4), (10, 4)])
     def test_clique_search_fixes_the_whole_clique(self, n, r, monkeypatch):
         # The value tests cannot see an unsound orbit rule: on these graphs
         # even excluding every candidate after the first branch at cliques
         # of up to four members still finds rho2. So check the rule
-        # itself: each exclusion at a clique C uses the orbits of the
-        # permutations that fix every member of C, keyed on C's candidates.
+        # itself: every branch at a clique C of at most four members, once
+        # done, excludes the classes of keying C's candidates from scratch
+        # by their counts in the Venn atoms of every member of C, and every
+        # deeper branch excludes its vertex alone. The classes are carried
+        # down from the parent by `_refine`, which refines them by C's last
+        # member over all of C's candidates.
         solve = kneserdom.solve
         masks = list(KneserParams(n, r).vertex_masks())
-        stack, calls = [], []
-        expand, orbits = solve._CliqueSearch.expand, solve._orbits
+        stack, calls, exclusions = [], [], []
+        expand, refine, orbit = (solve._CliqueSearch.expand, solve._refine,
+                                 solve._orbit)
 
-        def traced_expand(self, clique, p_mask):
+        def traced_expand(self, clique, p_mask, keyed):
             stack.append((list(clique), p_mask))
             try:
-                expand(self, clique, p_mask)
+                expand(self, clique, p_mask, keyed)
             finally:
                 stack.pop()
 
-        def traced_orbits(contains, sets, among):
+        def traced_refine(contains, classes, atoms, member, among):
             clique, candidates = stack[-1]
-            calls.append((list(sets), [masks[c] for c in clique]))
-            assert among & ~candidates == 0
-            return orbits(contains, sets, among)
+            assert among == candidates and member == masks[clique[-1]]
+            calls.append(clique)
+            return refine(contains, classes, atoms, member, among)
+
+        def traced_orbit(classes, v):
+            clique, candidates = stack[-1]
+            assert sorted(classes) == (
+                _keyed_classes(n, masks, [masks[c] for c in clique],
+                               candidates)
+                if len(clique) <= solve._ORBIT_DEPTH else [])
+            exclusions.append((len(clique), len(classes)))
+            return orbit(classes, v)
 
         monkeypatch.setattr(solve._CliqueSearch, "expand", traced_expand)
-        monkeypatch.setattr(solve, "_orbits", traced_orbits)
+        monkeypatch.setattr(solve, "_refine", traced_refine)
+        monkeypatch.setattr(solve, "_orbit", traced_orbit)
         assert solve_rho2(KneserParams(n, r)).optimal
         assert calls
-        for sets, clique in calls:
-            assert sets == clique and 1 <= len(clique) <= solve._ORBIT_DEPTH
-        assert any(len(clique) == solve._ORBIT_DEPTH for _, clique in calls)
+        assert all(1 <= len(clique) <= solve._ORBIT_DEPTH for clique in calls)
+        assert any(depth == solve._ORBIT_DEPTH for depth, _ in exclusions)
+        if (n, r) == (9, 4):  # the only one of the three with such orbits
+            assert any(depth == solve._ORBIT_DEPTH and classes
+                       for depth, classes in exclusions)
 
 
 def _has_clique(compat, cand, size):
@@ -832,7 +876,7 @@ class TestInfraChromatic:
         compat = kneserdom.solve._relation_bitsets(
             masks, contains, packing_intersections(params))
         search = kneserdom.solve._CliqueSearch(compat, masks, contains,
-                                               len(masks), True, None)
+                                               len(masks), None)
         rng = random.Random(100 * n + r)
         absorbed = 0
         for _ in range(10):
@@ -889,6 +933,16 @@ class TestDelsarte:
         bound, dual = delsarte_lp(n, r)
         assert bound == DELSARTE_VALUES[n, r]
         check_delsarte_dual(KneserParams(n, r), dual, bound)
+
+    @pytest.mark.parametrize("r", range(3, 13))
+    def test_integer_tableau_matches_the_fraction_simplex(self, r):
+        # the fraction-free tableau makes the Fraction tableau's pivots, so
+        # every band instance gets the same bound and dual, exactly
+        for n in range(2 * r + 1, 3 * r - 1):
+            bound, dual = delsarte_lp(n, r)
+            assert (bound, dual) == reference_delsarte_lp(n, r)
+            assert all(isinstance(x, Fraction) for x in [bound, *dual])
+            check_delsarte_dual(KneserParams(n, r), dual, bound)
 
     @pytest.mark.parametrize("n,r", sorted(DELSARTE_FLOORS))
     def test_floors(self, n, r):
