@@ -2,13 +2,15 @@
 
 Every function returns a VertexFamily whose defining property can be checked
 with the verifiers in `certify`; the test suite runs the full
-construction-by-verifier matrix.
+construction-by-verifier matrix. The ρ₄ block witness and the normalization
+rewrite each state one rule over member pairs.
 """
 
 from __future__ import annotations
 
 import json
 from importlib import resources
+from itertools import combinations
 
 from .certify import verify_2_packing
 from .core import (
@@ -84,10 +86,11 @@ def rho3_witness(r: int, t: int) -> VertexFamily:
 def rho4_witness(r: int, t: int) -> VertexFamily:
     """A 2-packing of four vertices in K(3r-t, r) with all intersections t-1.
 
-    Built from ten pairwise-disjoint blocks laid out consecutively on [n] in
-    the order A12, A13, A14, A23, A24, A34, B1, B2, B3, B4, where
-    |A_ij| = t-1 and |B_i| = r - 3(t-1); member i is the union of its three
-    A-blocks and B_i. Requires (9/2)(t-1) <= r < 5(t-1).
+    Laid out consecutively on [n]: one shared block of t-1 elements per
+    member pair, the pairs in `combinations` order, then one private block
+    of r - 3(t-1) elements per member. Member i is the union of the blocks
+    of its three pairs and its private block. Requires
+    (9/2)(t-1) <= r < 5(t-1).
     """
     if t < 2:
         raise ParameterError(f"rho4 witness needs t >= 2, got {t}")
@@ -102,21 +105,16 @@ def rho4_witness(r: int, t: int) -> VertexFamily:
                    "rho4 blocks do not fit on [n]")
     params = KneserParams(n, r)
 
+    sets: list[list[int]] = [[] for _ in range(4)]
     pos = 1
-    blocks: dict[str, list[int]] = {}
-    for name in ("A12", "A13", "A14", "A23", "A24", "A34"):
-        blocks[name] = _interval(pos, pos + block_a - 1)
+    for pair in combinations(range(4), 2):
+        block = _interval(pos, pos + block_a - 1)
+        for i in pair:
+            sets[i] += block
         pos += block_a
-    for name in ("B1", "B2", "B3", "B4"):
-        blocks[name] = _interval(pos, pos + block_b - 1)
+    for members in sets:
+        members += _interval(pos, pos + block_b - 1)
         pos += block_b
-
-    sets = [
-        blocks["A12"] + blocks["A13"] + blocks["A14"] + blocks["B1"],
-        blocks["A12"] + blocks["A23"] + blocks["A24"] + blocks["B2"],
-        blocks["A13"] + blocks["A23"] + blocks["A34"] + blocks["B3"],
-        blocks["A14"] + blocks["A24"] + blocks["A34"] + blocks["B4"],
-    ]
     return VertexFamily.from_sets(params, sets)
 
 
@@ -179,46 +177,22 @@ def _take(pool: list[int], count: int, x: int) -> list[int]:
 
 
 def _rewrite_step(members: list[Vertex], occ: tuple[int, ...], x: int) -> list[Vertex]:
-    """One occurrence-reduction rewrite around an element x with
-    3 <= i_x <= |members|, for a family of 4 or 5 members."""
-    size = len(members)
-    containers = [i for i, v in enumerate(members) if v.mask >> (x - 1) & 1]
-    count = len(containers)
-    singles = {i: _x1_elements(members[i], occ) for i in range(size)}
+    """Take x out of its c holders, 3 <= c <= 5, and give each pair of them
+    one shared element instead: the last holder for the pair (first, last),
+    the lower one for any other pair, copies one of its singly-occurring
+    elements into the other. A holder gives, in pair order, then drops its
+    c-2 lowest such elements, so sizes and pair intersections are kept."""
+    holders = [i for i, v in enumerate(members) if v.mask >> (x - 1) & 1]
+    spend = {i: _take(_x1_elements(members[i], occ), len(holders) - 2, x)
+             for i in holders}
+    received: dict[int, set[int]] = {i: set() for i in holders}
+    for a, b in combinations(holders, 2):
+        if a == holders[0] and b == holders[-1]:
+            a, b = b, a
+        received[b].add(spend[a].pop(0))
     new = list(members)
-
-    if count < size:
-        # Rotate x out of the first three containers; a fourth container,
-        # possible with five members, keeps x.
-        i1, i2, i3 = containers[:3]
-        x1 = _take(singles[i1], 1, x)[0]
-        x2 = _take(singles[i2], 1, x)[0]
-        x3 = _take(singles[i3], 1, x)[0]
-        new[i1] = _replace(members[i1], {x}, {x2})
-        new[i2] = _replace(members[i2], {x}, {x3})
-        new[i3] = _replace(members[i3], {x}, {x1})
-    elif size == 4:
-        i1, i2, i3, i4 = containers
-        s1 = _take(singles[i1], 2, x)
-        s2 = _take(singles[i2], 2, x)
-        s3 = _take(singles[i3], 2, x)
-        s4 = _take(singles[i4], 2, x)
-        new[i1] = _replace(members[i1], {x}, {s4[0]})
-        new[i2] = _replace(members[i2], {x}, {s1[0]})
-        new[i3] = _replace(members[i3], {x, s3[1]}, {s1[1], s2[0]})
-        new[i4] = _replace(members[i4], {x, s4[1]}, {s2[1], s3[0]})
-    else:
-        i1, i2, i3, i4, i5 = containers
-        s1 = _take(singles[i1], 3, x)
-        s2 = _take(singles[i2], 3, x)
-        s3 = _take(singles[i3], 3, x)
-        s4 = _take(singles[i4], 3, x)
-        s5 = _take(singles[i5], 3, x)
-        new[i1] = _replace(members[i1], {x}, {s5[0]})
-        new[i2] = _replace(members[i2], {x}, {s1[0]})
-        new[i3] = _replace(members[i3], {x, s3[2]}, {s1[1], s2[0]})
-        new[i4] = _replace(members[i4], {x, s4[1], s4[2]}, {s1[2], s2[1], s3[0]})
-        new[i5] = _replace(members[i5], {x, s5[1], s5[2]}, {s2[2], s3[1], s4[0]})
+    for i in holders:  # what a holder has not given, it drops
+        new[i] = _replace(members[i], {x, *spend[i]}, received[i])
     return new
 
 
@@ -227,9 +201,10 @@ def normalize_packing(S: VertexFamily) -> VertexFamily:
 
     Family size and all pairwise intersection cardinalities are preserved
     member by member. Each step picks the smallest element occurring at least
-    three times and the smallest qualifying singly-occurring replacement
-    elements; the number of over-occurring elements strictly decreases, so at
-    most n steps are taken.
+    three times, takes it out of all its holders, and gives each pair of
+    holders one of their singly-occurring elements in its place, the same
+    rule for 3, 4 or 5 holders (`_rewrite_step`). The number of
+    over-occurring elements strictly decreases, so at most n steps are taken.
     """
     n, r = S.params.n, S.params.r
     size = len(S)
@@ -240,10 +215,9 @@ def normalize_packing(S: VertexFamily) -> VertexFamily:
         raise ParameterError(
             f"normalization needs r >= 3 and n <= 3r-2, got K({n},{r})"
         )
-    if size == 4 and 3 * t > r + 3:
-        raise ParameterError(f"size-4 normalization needs t <= (r+3)/3, got t={t}, r={r}")
-    if size == 5 and 4 * t > r + 4:
-        raise ParameterError(f"size-5 normalization needs t <= (r+4)/4, got t={t}, r={r}")
+    if (size - 1) * t > r + size - 1:
+        raise ParameterError(f"size-{size} normalization needs "
+                             f"t <= (r+{size - 1})/{size - 1}, got t={t}, r={r}")
     if not verify_2_packing(S).valid:
         raise ParameterError("normalization input must be a 2-packing")
 

@@ -107,39 +107,31 @@ class KneserParams:
             mask = ripple | (((mask ^ ripple) >> 2) // low)
 
     def atoms(self, sets: Iterable[int]) -> dict[int, int]:
-        """[n] cut into the Venn atoms of the masks `sets` and the atom
-        outside them all, keyed as by `venn_atoms`.
+        """The Venn atoms of the masks `sets`, each keyed by the bitset of
+        the sets that contain it (bit j for the j-th set); the elements of
+        [n] outside every set, if any, form the atom keyed 0.
 
-        An r-set's class is how many elements it takes from each atom, and
-        there are at most C(n,r) classes. Every walk over them starts here,
-        so the vertex ceiling is checked here, as in `vertex_masks`.
+        Two elements share an atom exactly when the same sets contain them,
+        so the permutations of [n] that fix each set setwise are those that
+        map each atom onto itself. An r-set's class is how many elements it
+        takes from each atom, and there are at most C(n,r) classes. Every
+        walk over them starts here, so the vertex ceiling is checked here,
+        as in `vertex_masks`.
         """
         self.check_capacity()
-        return venn_atoms(sets, self.ground_mask)
-
-
-def venn_atoms(sets: Iterable[int], ground: int = 0) -> dict[int, int]:
-    """The Venn atoms of the masks `sets`, each keyed by the bitset of the
-    sets that contain it (bit j for the j-th set); the elements of `ground`
-    outside every set, if any, form the atom keyed 0.
-
-    Two elements share an atom exactly when the same sets contain them, so
-    the permutations of [n] that fix each set setwise are those that map
-    each atom onto itself.
-    """
-    containing: dict[int, int] = {}  # element bit -> the sets containing it
-    for j, s in enumerate(sets):
-        while s:
-            low = s & -s
-            containing[low] = containing.get(low, 0) | 1 << j
-            s ^= low
-    atoms: dict[int, int] = {}
-    for bit, key in containing.items():
-        atoms[key] = atoms.get(key, 0) | bit
-    outside = ground & ~sum(containing)
-    if outside:
-        atoms[0] = outside
-    return atoms
+        containing: dict[int, int] = {}  # element bit -> the sets containing it
+        for j, s in enumerate(sets):
+            while s:
+                low = s & -s
+                containing[low] = containing.get(low, 0) | 1 << j
+                s ^= low
+        atoms: dict[int, int] = {}
+        for bit, key in containing.items():
+            atoms[key] = atoms.get(key, 0) | bit
+        outside = self.ground_mask & ~sum(containing)
+        if outside:
+            atoms[0] = outside
+        return atoms
 
 
 @dataclass(frozen=True, order=True)

@@ -119,36 +119,34 @@ def brute_force_domination(
     )
 
 
-def block_packing(r: int, t: int, size: int) -> VertexFamily:
+def block_packing(r: int, t: int, size: int, held: int = 0) -> VertexFamily:
     """A 2-packing of `size` vertices of K(3r-t, r) with all intersections t-1.
 
     Generalizes the four-vertex block witness: one shared block per member
     pair and one private block per member, laid out consecutively on [n].
+    With `held` > 0, element 1 comes first and the first `held` members
+    hold it: the blocks of the pairs among them are one element narrower,
+    so that their intersections stay t-1, and each of them gets held-2 more
+    private elements, the ones normalization spends around element 1.
     """
-    assert size in (4, 5)
+    assert size in (4, 5) and 0 <= held <= size
     n = 3 * r - t
-    pair_block = t - 1
-    private = r - (size - 1) * pair_block
-    assert private >= 0, f"r={r} too small for t={t}, size={size}"
-    used = size * (size - 1) // 2 * pair_block + size * private
-    assert used <= n, f"blocks need {used} elements, only {n} available"
-
-    pos = 1
-    pair_elems: dict[tuple[int, int], list[int]] = {}
+    sets = [[1] if i < held else [] for i in range(size)]
+    pos = 2 if held else 1
     for pair in combinations(range(size), 2):
-        pair_elems[pair] = list(range(pos, pos + pair_block))
-        pos += pair_block
-    sets = []
-    for i in range(size):
-        members = []
-        for pair, elems in pair_elems.items():
-            if i in pair:
-                members.extend(elems)
+        width = t - 1 - (pair[1] < held)
+        for i in pair:
+            sets[i].extend(range(pos, pos + width))
+        pos += width
+    for members in sets:
+        private = r - len(members)
+        assert private >= 0, f"r={r} too small for t={t}, size={size}"
         members.extend(range(pos, pos + private))
         pos += private
-        sets.append(sorted(members))
+    assert pos - 1 <= n, f"blocks need {pos - 1} elements, only {n} available"
     family = VertexFamily.from_sets(KneserParams(n, r), sets)
     assert verify_2_packing(family).valid
+    assert held < 3 or max(family.occurrences) == held
     return family
 
 

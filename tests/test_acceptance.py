@@ -209,20 +209,25 @@ def test_ac08_chain_and_monotonicity():
 
 
 def test_ac09_normalization_corpus():
-    """Seeded perturbed packings renormalize to occurrences <= 2."""
+    """Seeded perturbed packings, and block packings with one element held
+    by 3, 4 or 5 members, renormalize to occurrences <= 2."""
     corpus = [
         (6, 3, 4, 1), (7, 3, 4, 2), (8, 3, 4, 1), (9, 4, 4, 3),
         (8, 3, 5, 1), (12, 4, 5, 2), (16, 5, 5, 3),
     ]
-    for seed, (r, t, size, rounds) in enumerate(corpus, start=900):
-        base = block_packing(r, t, size)
-        messy = perturb_packing(base, random.Random(seed), rounds)
-        out = normalize_packing(messy)
-        assert max(out.occurrences) <= 2, (r, t, size)
-        assert len(out) == len(messy), (r, t, size)
-        assert pairwise_intersections(out) == pairwise_intersections(messy)
+    messy = [perturb_packing(block_packing(r, t, size), random.Random(seed),
+                             rounds)
+             for seed, (r, t, size, rounds) in enumerate(corpus, start=900)]
+    held = [(6, 3, 4, 3), (9, 4, 4, 4), (8, 3, 5, 3), (16, 5, 5, 4),
+            (29, 8, 5, 4), (28, 8, 5, 5)]
+    messy += [block_packing(r, t, size, c) for r, t, size, c in held]
+    for S in messy:
+        out = normalize_packing(S)
+        assert max(out.occurrences) <= 2, S.params
+        assert len(out) == len(S), S.params
+        assert pairwise_intersections(out) == pairwise_intersections(S)
         assert verify_2_packing(out).valid
-    _passed("AC-09", f"{len(corpus)} perturbed packings normalized correctly")
+    _passed("AC-09", f"{len(messy)} packings normalized correctly")
 
 
 def test_ac10_threshold_consistency():

@@ -109,6 +109,15 @@ class TestRho4Witness:
         with pytest.raises(ParameterError):
             rho4_witness(r, t)
 
+    def test_is_the_four_member_block_packing(self):
+        # every valid (r, t) with r < 60: (9/2)(t-1) <= r < 5(t-1)
+        valid = [(r, t) for r in range(60) for t in range(2, r)
+                 if 9 * (t - 1) <= 2 * r < 10 * (t - 1)]
+        assert len(valid) == 37
+        for r, t in valid:
+            assert (rho4_witness(r, t).member_masks()
+                    == block_packing(r, t, 4).member_masks()), (r, t)
+
 
 class TestDoublingLift:
     def test_k73_to_k115(self):
@@ -190,6 +199,31 @@ class TestNormalize:
         assert verify_2_packing(out).valid
         # every pairwise intersection cardinality survives, member by member
         assert pairwise_intersections(out) == pairwise_intersections(messy)
+
+    @pytest.mark.parametrize("size,held,count", [
+        (4, 3, 54), (4, 4, 43), (5, 3, 11), (5, 4, 6), (5, 5, 1),
+    ])
+    def test_element_held_by_several_members(self, size, held, count):
+        """Element 1 held by `held` members of a block packing, for every
+        (r, t) with r < 30 where the blocks fit and normalization applies."""
+        fitted = []
+        for r in range(3, 30):
+            for t in range(2, r):
+                if (size - 1) * t > r + size - 1:
+                    continue
+                try:
+                    S = block_packing(r, t, size, held)
+                except AssertionError:  # the blocks do not fit on [n]
+                    continue
+                fitted.append((r, t))
+                out = normalize_packing(S)
+                assert max(out.occurrences) <= 2, (r, t)
+                assert verify_2_packing(out).valid, (r, t)
+                assert pairwise_intersections(out) == pairwise_intersections(S)
+        assert len(fitted) == count
+        if (size, held) == (5, 4):
+            assert fitted == [(16, 5), (20, 6), (24, 7), (25, 7), (28, 8),
+                              (29, 8)]
 
     def test_rejects_non_packing(self):
         bad = VertexFamily.from_sets(

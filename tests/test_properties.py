@@ -1,6 +1,8 @@
 """Property tests: the domination verifier under relabellings of [n] and on
-supersets of valid families, the 2-packing verifier on subfamilies, and the
-Delsarte dual against its independent check."""
+supersets of valid families, the 2-packing verifier on subfamilies, the
+lifts on subfamilies of odd-graph packings, the family-document parser on
+any JSON-like object, and the Delsarte dual against its independent
+check."""
 
 import pytest
 
@@ -8,11 +10,16 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from kneserdom import (
+    FamilyDocumentError,
     InternalCheckError,
     InvariantKind,
     KneserParams,
     Vertex,
     VertexFamily,
+    diagonal_lift,
+    doubling_lift,
+    parse_family_document,
+    rho3_witness,
     verify,
     verify_2_packing,
 )
@@ -20,7 +27,11 @@ from kneserdom.certify import check_delsarte_dual, is_defined
 from kneserdom.construct import TABLE3_PACKINGS, table3_packing
 from kneserdom.solve import delsarte_lp
 
-from helpers import closed_neighbor_count, open_neighbor_count
+from helpers import (
+    closed_neighbor_count,
+    open_neighbor_count,
+    pairwise_intersections,
+)
 
 KINDS = (InvariantKind.K_DOMINATION, InvariantKind.K_TUPLE,
          InvariantKind.K_TUPLE_TOTAL)
@@ -120,6 +131,82 @@ def test_subfamily_of_a_packing_is_a_packing(case):
     report = verify_2_packing(sub)
     assert report.valid
     assert report.checked_count == len(sub) * (len(sub) - 1) // 2
+
+
+@st.composite
+def odd_graph_subpackings(draw):
+    """A subfamily, members in any order, of a 2-packing of an odd graph
+    K(2r+1, r): the recorded packing of K(9,4), or the rho3 witness of
+    K(2r+1, r) for 3 <= r <= 7."""
+    S = draw(st.sampled_from([table3_packing(4)]
+                             + [rho3_witness(r, r - 1) for r in range(3, 8)]))
+    picks = draw(st.lists(st.sampled_from(range(len(S))), unique=True))
+    return VertexFamily(S.params, tuple(S.members[i] for i in picks))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(odd_graph_subpackings(), st.integers(2, 4))
+def test_lifts_of_a_packing_are_packings(S, a):
+    """The doubling lift of a 2-packing of K(2r+1, r) is a 2-packing of
+    K(2r+1+2a, r+a) of twice the size; the diagonal lift is a 2-packing of
+    K(2r+2, r+1) whose intersections are all one larger."""
+    n, r = S.params.n, S.params.r
+    doubled = doubling_lift(S, a)
+    assert doubled.params == KneserParams(n + 2 * a, r + a)
+    assert len(doubled) == 2 * len(S)
+    assert verify_2_packing(doubled).valid
+    diagonal = diagonal_lift(S)
+    assert diagonal.params == KneserParams(n + 1, r + 1)
+    assert verify_2_packing(diagonal).valid
+    assert pairwise_intersections(diagonal) == {
+        pair: size + 1 for pair, size in pairwise_intersections(S).items()}
+
+
+# Integers stay small: an element near 10**9 makes a mask of about a
+# gigabyte.
+_small_ints = st.integers(-3, 40)
+_json_values = st.recursive(
+    st.none() | st.booleans() | _small_ints | st.floats()
+    | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner,
+                                     max_size=4)),
+    max_leaves=12,
+)
+
+
+@st.composite
+def family_documents(draw):
+    """A document with fields n, r and sets of r elements each, mostly in
+    range, in which up to two fields are then dropped or replaced by any
+    JSON value, or a meta field is added."""
+    r = draw(st.integers(-1, 6))
+    n = draw(st.integers(2 * max(r, 0), 40) | _small_ints)
+    element = st.integers(1, max(n, 1)) | _small_ints
+    doc = {"n": n, "r": r,
+           "sets": draw(st.lists(st.lists(element, min_size=max(r, 0),
+                                          max_size=max(r, 0)), max_size=4))}
+    fields = st.sampled_from(("n", "r", "sets", "meta"))
+    for key in draw(st.sets(fields, max_size=2)):
+        if draw(st.booleans()):
+            doc.pop(key, None)
+        else:
+            doc[key] = draw(_json_values)
+    return doc
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(_json_values | family_documents())
+def test_parser_returns_a_family_or_a_document_error(obj):
+    """Any JSON-like object parses to the family it describes, or is
+    rejected with FamilyDocumentError, never with another exception."""
+    try:
+        family, meta = parse_family_document(obj)
+    except FamilyDocumentError:
+        return
+    assert family.params == KneserParams(obj["n"], obj["r"])
+    assert family.as_sets() == [sorted(s) for s in obj["sets"]]
+    assert isinstance(meta, dict)
 
 
 @st.composite

@@ -2,13 +2,15 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import kneserdom
 
-SOURCES = sorted(Path(kneserdom.__file__).resolve().parent.glob("*.py"))
+PACKAGE = Path(kneserdom.__file__).resolve().parent
+SOURCES = sorted(PACKAGE.glob("*.py"))
 # The modules whose references count as uses: not __init__.py, which only
 # re-exports.
 CALLERS = [path for path in SOURCES if path.name != "__init__.py"]
@@ -121,8 +123,7 @@ def test_capacity_is_checked_only_in_core():
 def test_certify_imports_no_solver_code():
     """The verifiers share no code with the searches they check: certify.py
     imports the standard library and, of the package, core alone."""
-    tree = ast.parse((Path(kneserdom.__file__).resolve().parent
-                      / "certify.py").read_text())
+    tree = ast.parse((PACKAGE / "certify.py").read_text())
     outside = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level:
@@ -148,3 +149,66 @@ def test_cli_import_leaves_out_fractions():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# A code name in README.md: a backticked identifier, bare or dotted, or a
+# call of one. A call of a one-letter name, as K(n,r), is notation.
+_CODE_NAME = re.compile(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(\(.*\))?")
+
+
+def _readme_names(text):
+    text = re.sub(r"```.*?```", "", text, flags=re.S)
+    for span in re.findall(r"`([^`\n]+)`", text):
+        match = _CODE_NAME.fullmatch(span)
+        if match and not (match[2] and len(match[1]) == 1):
+            yield match[1]
+
+
+def _stored_names(tree):
+    """Every name a module defines or stores: its functions, classes and
+    parameters, the names and attributes it assigns, and its strings."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.arg):
+            yield node.arg
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                             ast.Store):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def _stdlib_imports(tree):
+    """The names `tree` imports from standard-library modules."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom) and node.module
+                and node.module.split(".")[0] in sys.stdlib_module_names):
+            yield from (alias.name for alias in node.names)
+
+
+def test_readme_names_exist():
+    """Every code name README.md gives exists. Each dotted part is a name
+    the package defines or stores, a module or file of the package, a name
+    defined in tests/helpers.py, or a standard-library module or a name
+    imported from one."""
+    helpers = ast.parse((Path(__file__).resolve().parent
+                         / "helpers.py").read_text())
+    trees = _trees(SOURCES)
+    known = {name for tree in trees for name in _stored_names(tree)}
+    known |= {PACKAGE.name} | {path.stem for path in PACKAGE.iterdir()}
+    known |= {path.name for path in PACKAGE.iterdir()}
+    known |= {name for _, name, _ in _definitions(helpers.body)}
+    known |= set(sys.stdlib_module_names)
+    known |= {name for tree in trees + [helpers]
+              for name in _stdlib_imports(tree)}
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    missing = sorted({
+        name for name in _readme_names(readme)
+        if name not in known
+        and not all(part in known for part in name.split("."))
+    })
+    assert missing == []
