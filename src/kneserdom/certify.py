@@ -11,7 +11,6 @@ the Eberlein polynomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import comb
 from typing import TYPE_CHECKING
@@ -20,6 +19,7 @@ from .core import (
     DefinabilityError,
     KneserParams,
     ParameterError,
+    Record,
     Vertex,
     VertexFamily,
     internal_check,
@@ -36,12 +36,13 @@ class InvariantKind(Enum):
     TWO_PACKING = "rho2"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    kind: InvariantKind
-    k: int
-    witness_violation: Vertex | tuple[Vertex, Vertex] | None
-    checked_count: int
+class VerificationReport(Record):
+    __slots__ = ("kind", "k", "witness_violation", "checked_count")
+
+    def __init__(self, kind: InvariantKind, k: int,
+                 witness_violation: Vertex | tuple[Vertex, Vertex] | None,
+                 checked_count: int) -> None:
+        self._set_fields(kind, k, witness_violation, checked_count)
 
     @property
     def valid(self) -> bool:

@@ -8,7 +8,6 @@ every public interface; the 0-based bit positions never leak.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Iterator
 
@@ -54,20 +53,58 @@ def default_vertex_ceiling() -> int:
     return value
 
 
-@dataclass(frozen=True)
-class KneserParams:
+class Record:
+    """Base of the package's records: == and hash by the fields, which are
+    the subclass's __slots__ in order, a `Name(field=value, ...)` repr, and
+    no assignment or deletion after __init__, which sets the fields through
+    `_set_fields`. The records are plain classes, not dataclasses, so that
+    no import generates their methods with exec.
+    """
+
+    __slots__ = ()
+
+    def _set_fields(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(
+            f"{type(self).__qualname__} is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        # pickle and copy rebuild a record through __init__, not setattr
+        return type(self), self._fields()
+
+
+class KneserParams(Record):
     """The pair (n, r) defining the Kneser graph K(n,r), with n >= 2r."""
 
-    n: int
-    r: int
+    __slots__ = ("n", "r")
 
-    def __post_init__(self) -> None:
-        if self.r < 1:
-            raise ParameterError(f"r must be positive, got {self.r}")
-        if self.n < 2 * self.r:
-            raise ParameterError(
-                f"K({self.n},{self.r}) undefined: need n >= 2r"
-            )
+    def __init__(self, n: int, r: int) -> None:
+        if r < 1:
+            raise ParameterError(f"r must be positive, got {r}")
+        if n < 2 * r:
+            raise ParameterError(f"K({n},{r}) undefined: need n >= 2r")
+        self._set_fields(n, r)
 
     @property
     def vertex_count(self) -> int:
@@ -134,15 +171,23 @@ class KneserParams:
         return atoms
 
 
-@dataclass(frozen=True, order=True)
-class Vertex:
+class Vertex(Record):
     """An r-subset of [n] as a bitmask; ordering by mask is colex order."""
 
-    mask: int
+    __slots__ = ("mask",)
 
-    def __post_init__(self) -> None:
-        if self.mask <= 0:
+    def __init__(self, mask: int) -> None:
+        if mask <= 0:
             raise ParameterError("vertex mask must be a nonempty subset")
+        # set directly, as _set_fields's loop would double the cost of the
+        # record built most often
+        object.__setattr__(self, "mask", mask)
+
+    def __lt__(self, other: Vertex) -> bool:
+        # sorted, min and max need only <; a > b falls back to b < a
+        if other.__class__ is not Vertex:
+            return NotImplemented
+        return self.mask < other.mask
 
     @classmethod
     def from_elements(cls, elements: Iterable[int]) -> "Vertex":
@@ -181,20 +226,20 @@ class Vertex:
         return f"Vertex{self.elements}"
 
 
-@dataclass(frozen=True)
-class VertexFamily:
+class VertexFamily(Record):
     """An ordered duplicate-free collection of vertices of one K(n,r)."""
 
-    params: KneserParams
-    members: tuple[Vertex, ...]
+    __slots__ = ("params", "members")
 
-    def __post_init__(self) -> None:
+    def __init__(self, params: KneserParams,
+                 members: tuple[Vertex, ...]) -> None:
         seen = set()
-        for v in self.members:
-            v.validate_for(self.params)
+        for v in members:
+            v.validate_for(params)
             if v.mask in seen:
                 raise ParameterError(f"duplicate member {v.elements} in family")
             seen.add(v.mask)
+        self._set_fields(params, members)
 
     @property
     def occurrences(self) -> tuple[int, ...]:

@@ -18,6 +18,12 @@ class FamilyDocumentError(ValueError):
     """Malformed family document, with field context in the message."""
 
 
+# The largest n a document may give. A vertex's mask is as wide as its
+# largest element, so this bounds each mask at about 1.2 MB before any is
+# built.
+MAX_DOCUMENT_N = 10**7
+
+
 def parse_family_document(obj: Any) -> tuple[VertexFamily, dict]:
     if not isinstance(obj, dict):
         raise FamilyDocumentError("document root must be a JSON object")
@@ -28,6 +34,10 @@ def parse_family_document(obj: Any) -> tuple[VertexFamily, dict]:
     # type() rather than isinstance(): JSON true parses to a bool, an int
     if type(n) is not int or type(r) is not int:
         raise FamilyDocumentError("fields 'n' and 'r' must be integers")
+    if n > MAX_DOCUMENT_N:
+        raise FamilyDocumentError(
+            f"n = {n} exceeds the largest supported n, {MAX_DOCUMENT_N}"
+        )
     try:
         params = KneserParams(n, r)
     except ParameterError as exc:

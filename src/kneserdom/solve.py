@@ -55,7 +55,6 @@ from __future__ import annotations
 import random
 import time
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from enum import Enum
 from math import comb, floor, gcd, lcm
 from typing import TYPE_CHECKING
@@ -72,6 +71,7 @@ from .certify import (
 from .core import (
     KneserParams,
     ParameterError,
+    Record,
     Vertex,
     VertexFamily,
     internal_check,
@@ -95,29 +95,34 @@ class SolveStatus(Enum):
     UNDEFINED = "undefined"
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    timeout: float = 60.0
-    symmetry_breaking: bool = True
+class SolverConfig(Record):
+    __slots__ = ("timeout", "symmetry_breaking")
 
-    def __post_init__(self) -> None:
-        if not self.timeout > 0:  # also rejects NaN, which never expires
-            raise ParameterError(f"timeout must be positive, got {self.timeout}")
+    def __init__(self, timeout: float = 60.0,
+                 symmetry_breaking: bool = True) -> None:
+        if not timeout > 0:  # also rejects NaN, which never expires
+            raise ParameterError(f"timeout must be positive, got {timeout}")
+        self._set_fields(timeout, symmetry_breaking)
 
 
-@dataclass
-class SolveResult:
+class SolveResult(Record):
     """The bracket a solver proved, the witness it found, and its effort.
 
     A lower bound of None marks an undefined invariant; a closed bracket is
     the optimum; an open one is what a deadline left.
     """
 
-    lower_bound: int | None
-    upper_bound: int | None
-    witness: VertexFamily | None = None
-    nodes: int = 0
-    wall_time: float = 0.0
+    __slots__ = ("lower_bound", "upper_bound", "witness", "nodes", "wall_time")
+
+    # a result is mutable, so unhashable
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, lower_bound: int | None, upper_bound: int | None,
+                 witness: VertexFamily | None = None, nodes: int = 0,
+                 wall_time: float = 0.0) -> None:
+        self._set_fields(lower_bound, upper_bound, witness, nodes, wall_time)
 
     @property
     def status(self) -> SolveStatus:

@@ -16,6 +16,7 @@ from kneserdom.cli import (
     build_parser,
     main,
 )
+from kneserdom.familydoc import MAX_DOCUMENT_N
 
 
 def run(capsys, *argv):
@@ -286,6 +287,18 @@ class TestVerify:
             capsys, "verify", "--invariant", "rho2", "--input", "-",
         )
         assert code == EXIT_OK
+
+    def test_huge_n_rejected_before_any_mask(self, capsys, monkeypatch):
+        # an element near 10^18 would need a mask of 10^18 bits
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(
+            {"n": 10**18, "r": 1, "sets": [[10**18]]})))
+        code, out, err = run(capsys, "verify", "--invariant", "rho2",
+                             "--input", "-")
+        assert code == EXIT_FAIL
+        assert out == ""
+        assert err == (
+            f"error: malformed family document: n = {10**18} exceeds the "
+            f"largest supported n, {MAX_DOCUMENT_N}\n")
 
 
 @pytest.mark.parametrize("command", ["compute", "verify"])

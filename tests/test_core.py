@@ -1,13 +1,19 @@
 """Tests for the Kneser-graph data model."""
 
+import copy
+import pickle
 import random
 from itertools import combinations
 
 import pytest
 
 from kneserdom import (
+    InvariantKind,
     KneserParams,
     ParameterError,
+    SolveResult,
+    SolverConfig,
+    VerificationReport,
     Vertex,
     VertexFamily,
     table3_packing,
@@ -151,6 +157,84 @@ class TestVertexFamily:
         D = table3_packing(4)
         assert sum(D.occurrences) == 48
         assert set(D.occurrences) == {5, 6}
+
+
+class TestRecords:
+    """The plain-class records: == and hash by field, the repr, mask order
+    for Vertex, and no assignment to a frozen record."""
+
+    def test_equal_records_hash_equal(self):
+        a = fam(7, 3, [1, 2, 3], [1, 4, 5])
+        b = fam(7, 3, [1, 2, 3], [1, 4, 5])
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != fam(7, 3, [1, 4, 5], [1, 2, 3])  # members are ordered
+        assert len({K(7, 3), K(7, 3), K(9, 4)}) == 2
+        r1 = VerificationReport(InvariantKind.TWO_PACKING, 0, (V(1), V(1, 2)), 3)
+        r2 = VerificationReport(InvariantKind.TWO_PACKING, 0, (V(1), V(1, 2)), 3)
+        assert r1 == r2 and hash(r1) == hash(r2)
+        assert r1 != VerificationReport(InvariantKind.TWO_PACKING, 0, None, 3)
+        assert SolverConfig() == SolverConfig(60.0, True)
+        assert hash(SolverConfig(5.0)) == hash(SolverConfig(timeout=5.0))
+        assert K(7, 3) != (7, 3) and V(1) != 1  # other types are unequal
+
+    def test_vertices_sort_by_mask(self):
+        vs = [V(4, 5), V(1, 2, 3), V(2, 3), V(1, 3)]
+        assert sorted(vs) == [V(1, 3), V(2, 3), V(1, 2, 3), V(4, 5)]
+        assert V(1, 3) < V(2, 3) and not V(2, 3) < V(1, 3)
+        assert min(vs) == V(1, 3) and max(vs) == V(4, 5)
+        with pytest.raises(TypeError):
+            V(1) < 1
+
+    @pytest.mark.parametrize("record,field", [
+        (K(7, 3), "n"),
+        (V(1, 2), "mask"),
+        (fam(5, 2, [1, 2]), "members"),
+        (VerificationReport(InvariantKind.K_DOMINATION, 1, None, 10), "k"),
+        (SolverConfig(), "timeout"),
+    ])
+    def test_frozen_records_reject_assignment(self, record, field):
+        before = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, before)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.other = 1
+        assert getattr(record, field) == before
+
+    @pytest.mark.parametrize("record", [
+        K(7, 3),
+        fam(5, 2, [1, 2], [3, 4]),
+        VerificationReport(InvariantKind.TWO_PACKING, 0, (V(1), V(1, 2)), 3),
+        SolverConfig(2.5, False),
+        SolveResult(3, 5, fam(5, 2, [1, 2]), 4, 0.5),
+    ])
+    def test_pickle_and_copy_rebuild_records(self, record):
+        assert pickle.loads(pickle.dumps(record)) == record
+        assert copy.deepcopy(record) == record and copy.copy(record) == record
+
+    def test_solver_config_defaults(self):
+        config = SolverConfig()
+        assert (config.timeout, config.symmetry_breaking) == (60.0, True)
+
+    def test_solve_result_defaults_and_equality(self):
+        res = SolveResult(3, 5)
+        assert (res.witness, res.nodes, res.wall_time) == (None, 0, 0.0)
+        assert res == SolveResult(3, 5, None, 0, 0.0)
+        assert res != SolveResult(3, 5, nodes=1)
+        with pytest.raises(TypeError):
+            hash(res)
+        res.nodes = 7  # a result is mutable
+        assert res == SolveResult(3, 5, nodes=7)
+
+    def test_repr_names_the_fields(self):
+        assert repr(K(7, 3)) == "KneserParams(n=7, r=3)"
+        assert repr(V(1, 4)) == "Vertex(1, 4)"
+        assert repr(fam(5, 2, [1, 2])) == (
+            "VertexFamily(params=KneserParams(n=5, r=2), members=(Vertex(1, 2),))")
+        assert repr(SolveResult(3, 5)) == (
+            "SolveResult(lower_bound=3, upper_bound=5, witness=None, nodes=0, "
+            "wall_time=0.0)")
 
 
 def _has_common_neighbor_brute(u, v, params):

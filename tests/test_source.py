@@ -151,6 +151,21 @@ def test_cli_import_leaves_out_fractions():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_generates_no_dataclass_code():
+    """The records are plain classes, so a fresh import of the CLI loads
+    neither `dataclasses` nor the `inspect` it pulls in."""
+    src = str(Path(kneserdom.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, kneserdom.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # A code name in README.md: a backticked identifier, bare or dotted, or a
 # call of one. A call of a one-letter name, as K(n,r), is notation.
 _CODE_NAME = re.compile(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(\(.*\))?")
