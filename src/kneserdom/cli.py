@@ -1,5 +1,9 @@
 """Command-line front end: compute, verify, construct, reproduce.
 
+`COMMANDS` is the one statement of each subcommand: its handler, its help
+line and its options. `main` builds only the parser of the subcommand it
+runs, and the top-level parser only for the help or a usage error.
+
 `CONSTRUCTIONS` is the one statement of what `construct --name` accepts:
 the function each name calls, the options it takes, and the invariant
 `--check` verifies its output as. An option that a construction does not
@@ -15,7 +19,7 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
-from typing import Any, NamedTuple
+from typing import Any, Callable
 
 from . import construct as cons
 from .certify import InvariantKind, VerificationReport, verify
@@ -24,6 +28,7 @@ from .core import (
     DefinabilityError,
     KneserParams,
     ParameterError,
+    Record,
     VertexFamily,
 )
 from .familydoc import (
@@ -63,15 +68,20 @@ TABLE2_LOWER_BOUNDS = {4: 12, 5: 12, 6: 10, 7: 6, 8: 5}
 TABLE2_EXACT = {9: 4, 10: 3}
 
 
-class Construction(NamedTuple):
+class Construction(Record):
     """A `construct --name` row: `construct.<function>` is called with the
     values of `options`, then of `optional` (None when not given), in that
     order; `--input` is read as a family document. `--check` verifies the
-    output as `check`, with `--k` for the domination kinds."""
-    function: str
-    options: tuple[str, ...]
-    check: InvariantKind = InvariantKind.TWO_PACKING
-    optional: tuple[str, ...] = ()
+    output as `check`, with `--k` for the domination kinds.
+
+    The rows of `CONSTRUCTIONS` and `COMMANDS` are records, not NamedTuples,
+    whose class creation compiles code at every import."""
+    __slots__ = ("function", "options", "check", "optional")
+
+    def __init__(self, function: str, options: tuple[str, ...],
+                 check: InvariantKind = InvariantKind.TWO_PACKING,
+                 optional: tuple[str, ...] = ()):
+        self._set_fields(function, options, check, optional)
 
 
 CONSTRUCTIONS: dict[str, Construction] = {
@@ -95,52 +105,23 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("text", "json", "csv"),
-                        default="text")
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="kneserdom")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_Parser)
-
-    p_compute = sub.add_parser("compute", help="compute an invariant exactly")
-    p_compute.add_argument("--invariant", required=True,
-                           choices=[kind.value for kind in InvariantKind])
-    p_compute.add_argument("--n", type=int, required=True)
-    p_compute.add_argument("--r", type=int, required=True)
-    p_compute.add_argument("--k", type=int, default=None)
-    p_compute.add_argument("--timeout", type=float, default=60.0,
-                           help="solver budget in seconds")
-    _add_common(p_compute)
-
-    p_verify = sub.add_parser("verify", help="check a family document")
-    p_verify.add_argument("--invariant", required=True,
-                          choices=[kind.value for kind in InvariantKind])
-    p_verify.add_argument("--k", type=int, default=None)
-    p_verify.add_argument("--input", required=True,
-                          help="path to a family document, or - for stdin")
-    _add_common(p_verify)
-
-    p_construct = sub.add_parser("construct", help="emit a recorded construction")
-    p_construct.add_argument("--name", required=True,
-                             choices=tuple(CONSTRUCTIONS))
-    p_construct.add_argument("--n", type=int, default=None)
-    p_construct.add_argument("--r", type=int, default=None)
-    p_construct.add_argument("--k", type=int, default=None)
-    p_construct.add_argument("--t", type=int, default=None)
-    p_construct.add_argument("--a", type=int, default=None)
-    p_construct.add_argument("--input", default=None,
-                             help="input family document (lifts and normalize)")
-    p_construct.add_argument("--check", action="store_true",
-                             help="run the designated verifier on the output")
-    _add_common(p_construct)
-
-    p_reproduce = sub.add_parser("reproduce", help="recompute a recorded table")
-    p_reproduce.add_argument("--table", type=int, required=True, choices=(1, 2, 3))
-    _add_common(p_reproduce)
-
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser of the subcommand `command`, from its rows in `COMMANDS`;
+    with no `command`, the top-level parser, which only names them."""
+    if command is None:
+        parser = _Parser(
+            prog="kneserdom",
+            usage="%(prog)s [-h] {" + ",".join(COMMANDS) + "} ...",
+            formatter_class=argparse.RawDescriptionHelpFormatter,
+            epilog="subcommands:\n" + "\n".join(
+                f"  {name:12}{row.help}" for name, row in COMMANDS.items()))
+        parser.add_argument("command", choices=tuple(COMMANDS),
+                            help="the subcommand; `kneserdom <command> -h` "
+                                 "lists its options")
+        return parser
+    parser = _Parser(prog=f"kneserdom {command}")
+    for flag, kwargs in COMMANDS[command].options:
+        parser.add_argument(flag, **kwargs)
     return parser
 
 
@@ -329,17 +310,69 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     return EXIT_OK if passing else EXIT_FAIL
 
 
+_KINDS = tuple(kind.value for kind in InvariantKind)
+_FORMAT = ("--format", {"choices": ("text", "json", "csv"), "default": "text"})
+
+
+class Command(Record):
+    """A subcommand: the handler `main` calls with its parsed options, its
+    help line, and its options, each a flag and the keyword arguments of
+    `add_argument`."""
+    __slots__ = ("handler", "help", "options")
+
+    def __init__(self, handler: Callable[[argparse.Namespace], int],
+                 help: str, options: tuple[tuple[str, dict[str, Any]], ...]):
+        self._set_fields(handler, help, options)
+
+
+COMMANDS: dict[str, Command] = {
+    "compute": Command(cmd_compute, "compute an invariant exactly", (
+        ("--invariant", {"required": True, "choices": _KINDS}),
+        ("--n", {"type": int, "required": True}),
+        ("--r", {"type": int, "required": True}),
+        ("--k", {"type": int, "default": None}),
+        ("--timeout", {"type": float, "default": 60.0,
+                       "help": "solver budget in seconds"}),
+        _FORMAT,
+    )),
+    "verify": Command(cmd_verify, "check a family document", (
+        ("--invariant", {"required": True, "choices": _KINDS}),
+        ("--k", {"type": int, "default": None}),
+        ("--input", {"required": True,
+                     "help": "path to a family document, or - for stdin"}),
+        _FORMAT,
+    )),
+    "construct": Command(cmd_construct, "emit a recorded construction", (
+        ("--name", {"required": True, "choices": tuple(CONSTRUCTIONS)}),
+        *((f"--{option}", {"type": int, "default": None})
+          for option in ("n", "r", "k", "t", "a")),
+        ("--input", {"default": None,
+                     "help": "input family document (lifts and normalize)"}),
+        ("--check", {"action": "store_true",
+                     "help": "run the designated verifier on the output"}),
+        _FORMAT,
+    )),
+    "reproduce": Command(cmd_reproduce, "recompute a recorded table", (
+        ("--table", {"type": int, "required": True, "choices": (1, 2, 3)}),
+        _FORMAT,
+    )),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "compute": cmd_compute,
-        "verify": cmd_verify,
-        "construct": cmd_construct,
-        "reproduce": cmd_reproduce,
-    }
+    """Run the subcommand that `argv` (default `sys.argv[1:]`) names first,
+    building only its parser. The top-level parser is built only when
+    `argv` names no subcommand first, to print the help or a usage error."""
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv else None
+    if command not in COMMANDS:
+        parser = build_parser()
+        parser.parse_args(argv)  # exits, unless argv is "--" and a name
+        parser.error("the subcommand must come first")
+    args = build_parser(command).parse_args(argv[1:])
     try:
-        return handlers[args.command](args)
+        return COMMANDS[command].handler(args)
     except FamilyDocumentError as exc:
         print(f"error: malformed family document: {exc}", file=sys.stderr)
         return EXIT_FAIL

@@ -22,6 +22,9 @@ class FamilyDocumentError(ValueError):
 # largest element, so this bounds each mask at about 1.2 MB before any is
 # built.
 MAX_DOCUMENT_N = 10**7
+# The largest sum of the members' largest elements: the bits of all the
+# masks together, so about 125 MB, checked before any mask is built.
+MAX_DOCUMENT_MASK_BITS = 10**9
 
 
 def parse_family_document(obj: Any) -> tuple[VertexFamily, dict]:
@@ -46,6 +49,7 @@ def parse_family_document(obj: Any) -> tuple[VertexFamily, dict]:
         raise FamilyDocumentError("field 'sets' must be a list of lists")
 
     seen: dict[frozenset, int] = {}
+    mask_bits = 0
     for idx, s in enumerate(sets):
         where = f"sets[{idx}]"
         if not isinstance(s, list) or not all(type(x) is int for x in s):
@@ -62,6 +66,12 @@ def parse_family_document(obj: Any) -> tuple[VertexFamily, dict]:
                 raise FamilyDocumentError(
                     f"{where}: element {x} outside [1..{n}]"
                 )
+        mask_bits += max(s)
+        if mask_bits > MAX_DOCUMENT_MASK_BITS:
+            raise FamilyDocumentError(
+                f"{where}: the masks would exceed {MAX_DOCUMENT_MASK_BITS} "
+                f"bits in all (the sum of each member's largest element)"
+            )
         key = frozenset(s)
         if key in seen:
             raise FamilyDocumentError(

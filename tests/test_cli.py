@@ -6,8 +6,9 @@ import json
 
 import pytest
 
-from kneserdom import TABLE3_PACKINGS, SolveResult
+from kneserdom import TABLE3_PACKINGS, SolveResult, cli
 from kneserdom.cli import (
+    COMMANDS,
     CONSTRUCTIONS,
     EXIT_FAIL,
     EXIT_OK,
@@ -16,7 +17,7 @@ from kneserdom.cli import (
     build_parser,
     main,
 )
-from kneserdom.familydoc import MAX_DOCUMENT_N
+from kneserdom.familydoc import MAX_DOCUMENT_MASK_BITS, MAX_DOCUMENT_N
 
 
 def run(capsys, *argv):
@@ -159,18 +160,16 @@ class TestCompute:
         assert run(capsys)[0] == EXIT_USAGE
 
 
+def _options(command):
+    """The long options of `command`'s parser, but --help."""
+    return {option for action in build_parser(command)._actions
+            for option in action.option_strings
+            if option.startswith("--") and option != "--help"}
+
+
 def test_option_inventory():
     # every option of every subcommand; a new flag changes this test too
-    parser = build_parser()
-    (subcommands,) = [action for action in parser._actions
-                      if isinstance(action, argparse._SubParsersAction)]
-    inventory = {
-        name: {option for action in sub._actions
-               for option in action.option_strings
-               if option.startswith("--") and option != "--help"}
-        for name, sub in subcommands.choices.items()
-    }
-    assert inventory == {
+    assert {name: _options(name) for name in COMMANDS} == {
         "compute": {"--invariant", "--n", "--r", "--k", "--timeout",
                     "--format"},
         "verify": {"--invariant", "--k", "--input", "--format"},
@@ -178,6 +177,58 @@ def test_option_inventory():
                       "--check", "--format"},
         "reproduce": {"--table", "--format"},
     }
+
+
+class TestParsers:
+    def test_top_level_help_lists_subcommands(self, capsys):
+        code, out, err = run(capsys, "-h")
+        assert (code, err) == (EXIT_OK, "")
+        for name, row in COMMANDS.items():
+            (line,) = [line for line in out.splitlines()
+                       if line.split()[:1] == [name]]
+            assert line.split(None, 1)[1] == row.help
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_subcommand_help(self, capsys, command):
+        code, out, err = run(capsys, command, "-h")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.startswith(f"usage: kneserdom {command} [-h]")
+        assert _options(command) <= set(out.replace("[", " ").split())
+
+    @pytest.mark.parametrize("argv", [
+        ["bogus"], ["comp", "--n", "5"], ["--format", "json", "compute"],
+        ["--", "compute"], ["--invariant", "rho2"],
+    ])
+    def test_subcommand_must_come_first(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("usage: kneserdom [-h]")
+
+    def test_argv_defaults_to_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.argv", [
+            "kneserdom", "compute", "--invariant", "gamma_k",
+            "--n", "5", "--r", "2", "--k", "1"])
+        assert main(None) == EXIT_OK
+        assert "value: 3" in capsys.readouterr().out
+
+    def test_one_parser_per_call(self, capsys, monkeypatch):
+        # each call builds its subcommand's parser and nothing else, and
+        # keeps no parser for the next call
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        argv = ["compute", "--invariant", "rho2", "--n", "8", "--r", "3"]
+        assert run(capsys, *argv)[0] == EXIT_OK
+        assert [parser.prog for parser in built] == ["kneserdom compute"]
+        assert run(capsys, *argv)[0] == EXIT_OK
+        assert len(built) == 2 and built[0] is not built[1]
+        assert not any(isinstance(value, argparse.ArgumentParser)
+                       for value in vars(cli).values())
 
 
 class TestVerify:
@@ -299,6 +350,20 @@ class TestVerify:
         assert err == (
             f"error: malformed family document: n = {10**18} exceeds the "
             f"largest supported n, {MAX_DOCUMENT_N}\n")
+
+    def test_wide_masks_rejected_before_any_mask(self, capsys, monkeypatch):
+        # each mask is as wide as its member's largest element: 2,000
+        # members near 10^7 would need about 2.5 GB of masks
+        n = MAX_DOCUMENT_N
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(
+            {"n": n, "r": 1, "sets": [[n - i] for i in range(2000)]})))
+        code, out, err = run(capsys, "verify", "--invariant", "rho2",
+                             "--input", "-")
+        assert code == EXIT_FAIL
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: malformed family document: sets[100]:")
+        assert f"exceed {MAX_DOCUMENT_MASK_BITS} bits" in line
 
 
 @pytest.mark.parametrize("command", ["compute", "verify"])
@@ -501,12 +566,8 @@ CONSTRUCTION_ARGUMENTS = {
 
 def _construct_options():
     """The options of `construct` that a construction may take."""
-    parser = build_parser()
-    (subcommands,) = [action for action in parser._actions
-                      if isinstance(action, argparse._SubParsersAction)]
-    return {option[2:] for action in subcommands.choices["construct"]._actions
-            for option in action.option_strings
-            if option not in ("-h", "--help", "--name", "--check", "--format")}
+    return {option[2:] for option in _options("construct")
+            if option not in ("--name", "--check", "--format")}
 
 
 def test_every_construct_option_is_taken():

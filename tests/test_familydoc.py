@@ -71,6 +71,8 @@ class TestParse:
             (doc(n="7"), "fields 'n' and 'r' must be integers"),
             (doc(n=5, r=3), "need n >= 2r"),
             (doc(n=10**7 + 1), "n = 10000001 exceeds the largest supported n"),
+            (doc(n=10**7, r=1, sets=[[10**7 - i] for i in range(200)]),
+             "sets[100]: the masks would exceed 1000000000 bits in all"),
             (doc(sets={"a": 1}), "field 'sets' must be a list of lists"),
             (doc(sets=[[1, 2, "3"]]), "sets[0]: must be a list of integers"),
             (doc(sets=[[1, 2]]), "sets[0]: expected 3 elements, got 2"),
