@@ -11,7 +11,9 @@ the Eberlein polynomials.
 
 from __future__ import annotations
 
+from bisect import insort
 from enum import Enum
+from itertools import accumulate
 from math import comb
 from typing import TYPE_CHECKING
 
@@ -113,8 +115,11 @@ def _verify_domination(
     the least of those over the violating classes, which is the colex-first
     violating vertex. The walk takes the atoms highest first and skips a
     subtree whose least completion is not below the violation found so far,
-    so on singleton atoms it is the colex stream of the vertices; it also
-    skips a subtree whose every u is sure to miss k members.
+    so on singleton atoms it is the colex stream of the vertices. It also
+    skips a subtree whose every u is sure to miss k members: because the
+    members met so far and the atoms left cannot reach k of them, or
+    because u takes from at most `left` more atoms, which meet at most the
+    members of the `left` atoms with the most members.
     """
     params = D.params
     if not is_defined(params, kind, k):
@@ -135,28 +140,40 @@ def _verify_domination(
     # `top`, above every r-set, where they have too few; reach[i]: the
     # members those atoms can still meet, so that the members met so far
     # and out of reach are missed by every u of the subtree
+    # most[i][c]: the sum of the c largest member counts of the atoms from
+    # i on, the most members that c more atoms can add to those met
     top = 1 << params.n
     least = [[0] + [top] * r]
     reach = [0]
+    most = [[0] * (r + 1)]
+    largest: list[int] = []  # the r largest of those counts, negated, sorted
     rest = 0
     for atom, met in reversed(atoms):
         rest |= atom
         prefixes = _low_prefixes(rest, r)
         least.append(prefixes + [top] * (r + 1 - len(prefixes)))
         reach.append(reach[-1] | met)
+        insort(largest, -met.bit_count())
+        del largest[r:]
+        sums = [0, *accumulate(-count for count in largest)]
+        most.append(sums + sums[-1:] * (r + 1 - len(sums)))
     least.reverse()
     reach.reverse()
+    most.reverse()
     best = top
 
     def walk(i: int, left: int, u: int, met: int) -> None:
         """Visit the classes that take `left` more elements, from the atoms
         from i on, beside u, which meets the members in `met`."""
         nonlocal best
-        # the least completion only grows and the reach only shrinks as the
-        # first atom to take from moves up, so one test finds where to stop
+        # the least completion only grows, and the reach and the most
+        # members the `left` more atoms can meet only shrink, as the first
+        # atom to take from moves up, so one test finds where to stop
         stop = i
+        unmet = size - met.bit_count()
         while (stop < len(atoms) and u | least[stop][left] < best
-               and size - (met | reach[stop]).bit_count() < k):
+               and size - (met | reach[stop]).bit_count() < k
+               and unmet - most[stop][left] < k):
             stop += 1
         # the highest atoms first: the one taken from last comes first
         for j in reversed(range(i, stop)):

@@ -1,8 +1,9 @@
 """Command-line front end: compute, verify, construct, reproduce.
 
 `COMMANDS` is the one statement of each subcommand: its handler, its help
-line and its options. `main` builds only the parser of the subcommand it
-runs, and the top-level parser only for the help or a usage error.
+line and its options. Its rows drive the parsing (`_parse`, which reads
+argv as argparse would), the `-h` text and every usage error; the text is
+laid out by `clihelp`, which only a help or an error loads.
 
 `CONSTRUCTIONS` is the one statement of what `construct --name` accepts:
 the function each name calls, the options it takes, and the invariant
@@ -15,10 +16,11 @@ mismatched row or error, 2 `compute` timeout (bounds only), 64 usage error.
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 from contextlib import nullcontext
+from types import SimpleNamespace
 from typing import Any, Callable
 
 from . import construct as cons
@@ -98,43 +100,19 @@ CONSTRUCTIONS: dict[str, Construction] = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # usage errors get a distinct exit code
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        sys.exit(EXIT_USAGE)
-
-
-def build_parser(command: str | None = None) -> _Parser:
-    """The parser of the subcommand `command`, from its rows in `COMMANDS`;
-    with no `command`, the top-level parser, which only names them."""
-    if command is None:
-        parser = _Parser(
-            prog="kneserdom",
-            usage="%(prog)s [-h] {" + ",".join(COMMANDS) + "} ...",
-            formatter_class=argparse.RawDescriptionHelpFormatter,
-            epilog="subcommands:\n" + "\n".join(
-                f"  {name:12}{row.help}" for name, row in COMMANDS.items()))
-        parser.add_argument("command", choices=tuple(COMMANDS),
-                            help="the subcommand; `kneserdom <command> -h` "
-                                 "lists its options")
-        return parser
-    parser = _Parser(prog=f"kneserdom {command}")
-    for flag, kwargs in COMMANDS[command].options:
-        parser.add_argument(flag, **kwargs)
-    return parser
-
-
-def _emit(doc: dict, fmt: str, csv_rows: list[str],
-          text_rows: list[str] | None = None) -> None:
-    """Print `doc` as JSON, or the rows of the format; the text rows
-    default to one "key: value" line per field of `doc`."""
+def _emit(fmt: str, doc: Callable[[], dict], csv_rows: Callable[[], list],
+          text_rows: Callable[[], list] | None = None) -> None:
+    """Print the output in the format `fmt`, building only that one: the
+    document `doc()` as JSON, or the rows of the format; the text rows
+    default to one "key: value" line per field of the document."""
     if fmt == "json":
-        rows = [json.dumps(doc, indent=2)]
+        rows = [json.dumps(doc(), indent=2)]
     elif fmt == "csv":
-        rows = csv_rows
+        rows = csv_rows()
+    elif text_rows:
+        rows = text_rows()
     else:
-        rows = text_rows or [f"{key}: {value}" for key, value in doc.items()]
+        rows = [f"{key}: {value}" for key, value in doc().items()]
     for row in rows:
         print(row)
 
@@ -160,7 +138,7 @@ def _result_document(args, result: SolveResult) -> dict:
     return doc
 
 
-def _invariant_kind(args: argparse.Namespace) -> InvariantKind:
+def _invariant_kind(args: SimpleNamespace) -> InvariantKind:
     """The invariant named by --invariant; every kind but rho2 needs --k,
     and rho2 takes none."""
     kind = InvariantKind(args.invariant)
@@ -171,7 +149,7 @@ def _invariant_kind(args: argparse.Namespace) -> InvariantKind:
     return kind
 
 
-def cmd_compute(args: argparse.Namespace) -> int:
+def cmd_compute(args: SimpleNamespace) -> int:
     cfg = SolverConfig(timeout=args.timeout)
     params = KneserParams(args.n, args.r)
     kind = _invariant_kind(args)
@@ -179,11 +157,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
         result = solve_rho2(params, cfg)
     else:
         result = solve_domination(params, kind, args.k, cfg)
-    doc = _result_document(args, result)
-    csv_rows = []
-    if result.witness is not None:
-        csv_rows = [family_to_csv(result.witness)]
-    _emit(doc, args.format, csv_rows)
+    witness = result.witness
+    _emit(args.format, lambda: _result_document(args, result),
+          lambda: [] if witness is None else [family_to_csv(witness)])
     if result.status in (SolveStatus.OPTIMAL, SolveStatus.UNDEFINED):
         return EXIT_OK
     return EXIT_TIMEOUT
@@ -213,15 +189,15 @@ def _read_family(path: str) -> VertexFamily:
     return family
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     report = verify(_read_family(args.input), _invariant_kind(args),
                     args.k or 0)
-    doc = _report_document(report)
-    _emit(doc, args.format, [f"{doc['valid']}"])
+    _emit(args.format, lambda: _report_document(report),
+          lambda: [f"{report.valid}"])
     return EXIT_OK if report.valid else EXIT_FAIL
 
 
-def cmd_construct(args: argparse.Namespace) -> int:
+def cmd_construct(args: SimpleNamespace) -> int:
     name = args.name
     row = CONSTRUCTIONS[name]
     taken = row.options + row.optional
@@ -242,10 +218,12 @@ def cmd_construct(args: argparse.Namespace) -> int:
             print("construction failed its designated verifier", file=sys.stderr)
             return EXIT_FAIL
 
-    csv = family_to_csv(family)  # one string, so an empty family prints ""
-    _emit(family_to_document(family, {"construction": name}), args.format,
-          [csv], [f"K({family.params.n},{family.params.r}), {len(family)} sets:",
-                  csv])
+    # the csv is one string, so an empty family prints ""
+    _emit(args.format,
+          lambda: family_to_document(family, {"construction": name}),
+          lambda: [family_to_csv(family)],
+          lambda: [f"K({family.params.n},{family.params.r}), "
+                   f"{len(family)} sets:", family_to_csv(family)])
     return EXIT_OK
 
 
@@ -298,15 +276,17 @@ def _packing_rows(table: int) -> list[dict]:
     return rows
 
 
-def cmd_reproduce(args: argparse.Namespace) -> int:
+def cmd_reproduce(args: SimpleNamespace) -> int:
     rows = _table1_rows() if args.table == 1 else _packing_rows(args.table)
     passing = all(row["status"] != "MISMATCH" for row in rows)
     summary = f"table {args.table}: {'PASS' if passing else 'FAIL'}"
-    _emit({"table": args.table, "passing": passing, "rows": rows}, args.format,
-          [",".join(map(str, row.values())) for row in rows] + [summary],
-          [f"{row['parameters']:32} expected {row['expected']!s:>10} "
-           f"computed {row['computed']!s:>10}  {row['status']}"
-           for row in rows] + [summary])
+    _emit(args.format,
+          lambda: {"table": args.table, "passing": passing, "rows": rows},
+          lambda: [",".join(map(str, row.values())) for row in rows]
+          + [summary],
+          lambda: [f"{row['parameters']:32} expected {row['expected']!s:>10} "
+                   f"computed {row['computed']!s:>10}  {row['status']}"
+                   for row in rows] + [summary])
     return EXIT_OK if passing else EXIT_FAIL
 
 
@@ -316,11 +296,12 @@ _FORMAT = ("--format", {"choices": ("text", "json", "csv"), "default": "text"})
 
 class Command(Record):
     """A subcommand: the handler `main` calls with its parsed options, its
-    help line, and its options, each a flag and the keyword arguments of
-    `add_argument`."""
+    help line, and its options, each a flag and a spec in argparse's terms:
+    its "type", "required", "default", "choices", "help", and "action" for
+    the one flag that takes no value (`_parse`)."""
     __slots__ = ("handler", "help", "options")
 
-    def __init__(self, handler: Callable[[argparse.Namespace], int],
+    def __init__(self, handler: Callable[[SimpleNamespace], int],
                  help: str, options: tuple[tuple[str, dict[str, Any]], ...]):
         self._set_fields(handler, help, options)
 
@@ -359,18 +340,127 @@ COMMANDS: dict[str, Command] = {
 }
 
 
+def _usage_error(prog: str, rows, message: str):
+    """Exit 64 as argparse does: the usage, then the message, on stderr."""
+    from . import clihelp
+    sys.stderr.write(f"{clihelp.usage(prog, rows)}{prog}: error: {message}\n")
+    sys.exit(EXIT_USAGE)
+
+
+def _option(arg: str, flags, fail) -> tuple[str, str | None] | None:
+    """How argparse reads `arg` against the option strings `flags`: None
+    for a value, else the option it names, "" for none, and any value
+    glued to it by "=" or to -h. A unique prefix names a long option."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    if arg in flags:
+        return arg, None
+    head, eq, tail = arg.partition("=")
+    if eq and head in flags:
+        return head, tail
+    found = ([(flag, tail if eq else None) for flag in flags
+              if flag.startswith(head)] if arg[1] == "-"
+             else [("-h", arg[2:])] * (arg[1] == "h"))
+    if len(found) > 1:
+        fail(f"ambiguous option: {arg} could match "
+             + ", ".join(flag for flag, _ in found))
+    if found:
+        return found[0]
+    # a negative number, or a string with a space, is a value
+    if " " in arg or re.match(r"^-\d+$|^-\d*\.\d+$", arg):
+        return None
+    return "", None
+
+
+def _parse(prog: str, rows, argv: list[str]) -> SimpleNamespace:
+    """`argv` parsed by the rows `rows` as argparse parses it, with `prog`
+    naming it in the help and the usage errors. A row whose flag has no
+    dash is a positional. Strings act left to right: the last of a repeated
+    option wins, and -h prints the help where it stands."""
+    def fail(message: str):
+        _usage_error(prog, rows, message)
+
+    flags: dict[str, dict | None] = {"-h": None, "--help": None}
+    flags.update(row for row in rows if row[0][0] == "-")
+    positional = [row for row in rows if row[0][0] != "-"]
+    values = {flag.lstrip("-"):
+              spec.get("default", False if "action" in spec else None)
+              for flag, spec in rows}
+    kinds: list = []
+    for arg in argv:  # every string after a "--" is a value
+        kinds.append(None if "--" in kinds else "--" if arg == "--"
+                     else _option(arg, flags, fail))
+    seen, extras, i = set(), [], 0
+    while i < len(argv):
+        kind = kinds[i]
+        i += 1
+        if kind is None or kind == "--":  # the positional, beside any "--"
+            at = i - (kind is None)
+            if not positional or at == len(argv):
+                extras.append(argv[i - 1])
+                continue
+            (flag, spec), text = positional.pop(), argv[at]
+            i = at + 1 + (kinds[at + 1:at + 2] == ["--"])
+        else:
+            flag, text = kind
+            spec = flags.get(flag)
+            if not flag:
+                extras.append(argv[i - 1])
+                continue
+            if spec is None or "action" in spec:  # -h, --help or --check
+                while text is not None:  # -hh is -h twice
+                    if flag != "-h" or text[:1] != "h":
+                        name = "-h/--help" if spec is None else flag
+                        fail(f"argument {name}: ignored explicit argument "
+                             f"{text!r}")
+                    text = text[1:] or None
+                if spec is None:
+                    from . import clihelp
+                    sys.stdout.write(clihelp.help_text(prog, rows, COMMANDS))
+                    sys.exit(EXIT_OK)
+            elif text is None:
+                if i == len(argv) or kinds[i] is not None:
+                    fail(f"argument {flag}: expected one argument")
+                text = argv[i]
+                i += 1
+        seen.add(flag)
+        if text is None or text == "--" and flag[0] == "-":
+            # argparse drops a "--" from a value, which leaves no value
+            values[flag.lstrip("-")] = [] if text else True
+            continue
+        convert, choices = spec.get("type", str), spec.get("choices")
+        try:
+            value = convert(text)
+        except ValueError:
+            fail(f"argument {flag}: invalid {convert.__name__} value: {text!r}")
+        if choices is not None and value not in choices:
+            fail(f"argument {flag}: invalid choice: {value!r} (choose from "
+                 f"{', '.join(map(repr, choices))})")
+        values[flag.lstrip("-")] = value
+    missing = [flag for flag, spec in rows if flag not in seen
+               and (spec.get("required") or flag[0] != "-")]
+    if missing:
+        fail(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        fail(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**values)
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run the subcommand that `argv` (default `sys.argv[1:]`) names first,
-    building only its parser. The top-level parser is built only when
-    `argv` names no subcommand first, to print the help or a usage error."""
+    with the rest parsed by its rows in `COMMANDS`. When `argv` names no
+    subcommand first, the top-level rows, whose one positional takes the
+    name, print the help or a usage error."""
     if argv is None:
         argv = sys.argv[1:]
     command = argv[0] if argv else None
     if command not in COMMANDS:
-        parser = build_parser()
-        parser.parse_args(argv)  # exits, unless argv is "--" and a name
-        parser.error("the subcommand must come first")
-    args = build_parser(command).parse_args(argv[1:])
+        top = (("command", {"choices": tuple(COMMANDS),
+                            "help": "the subcommand; `kneserdom <command> -h` "
+                                    "lists its options"}),)
+        _parse("kneserdom", top, argv)  # exits, unless argv is "--" and a name
+        _usage_error("kneserdom", top, "the subcommand must come first")
+    args = _parse(f"kneserdom {command}", COMMANDS[command].options, argv[1:])
     try:
         return COMMANDS[command].handler(args)
     except FamilyDocumentError as exc:

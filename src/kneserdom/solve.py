@@ -843,8 +843,7 @@ class _CliqueSearch:
         keyed with the one class of all its candidates and no atoms.
         """
         self.nodes += 1
-        if self.nodes % 256 == 0:
-            self.deadline.check()
+        self.deadline.check()
         if len(clique) > self.best:
             self.best = len(clique)
             self.best_clique = list(clique)

@@ -1,12 +1,11 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
-import argparse
 import io
 import json
 
 import pytest
 
-from kneserdom import TABLE3_PACKINGS, SolveResult, cli
+from kneserdom import TABLE3_PACKINGS, SolveResult
 from kneserdom.cli import (
     COMMANDS,
     CONSTRUCTIONS,
@@ -14,7 +13,6 @@ from kneserdom.cli import (
     EXIT_OK,
     EXIT_TIMEOUT,
     EXIT_USAGE,
-    build_parser,
     main,
 )
 from kneserdom.familydoc import MAX_DOCUMENT_MASK_BITS, MAX_DOCUMENT_N
@@ -23,7 +21,7 @@ from kneserdom.familydoc import MAX_DOCUMENT_MASK_BITS, MAX_DOCUMENT_N
 def run(capsys, *argv):
     try:
         code = main(list(argv))
-    except SystemExit as exc:  # argparse usage errors
+    except SystemExit as exc:  # -h and usage errors
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -161,10 +159,9 @@ class TestCompute:
 
 
 def _options(command):
-    """The long options of `command`'s parser, but --help."""
-    return {option for action in build_parser(command)._actions
-            for option in action.option_strings
-            if option.startswith("--") and option != "--help"}
+    """The options of `command`, from its rows; -h and --help are not
+    rows."""
+    return {flag for flag, _ in COMMANDS[command].options}
 
 
 def test_option_inventory():
@@ -211,24 +208,160 @@ class TestParsers:
         assert main(None) == EXIT_OK
         assert "value: 3" in capsys.readouterr().out
 
-    def test_one_parser_per_call(self, capsys, monkeypatch):
-        # each call builds its subcommand's parser and nothing else, and
-        # keeps no parser for the next call
-        built = []
-        init = argparse.ArgumentParser.__init__
 
-        def counting_init(self, *args, **kwargs):
-            built.append(self)
-            init(self, *args, **kwargs)
+COMPUTE_HELP = """\
+usage: kneserdom compute [-h] --invariant {gamma_k,gamma_xk,gamma_xkt,rho2}
+                         --n N --r R [--k K] [--timeout TIMEOUT]
+                         [--format {text,json,csv}]
 
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-        argv = ["compute", "--invariant", "rho2", "--n", "8", "--r", "3"]
-        assert run(capsys, *argv)[0] == EXIT_OK
-        assert [parser.prog for parser in built] == ["kneserdom compute"]
-        assert run(capsys, *argv)[0] == EXIT_OK
-        assert len(built) == 2 and built[0] is not built[1]
-        assert not any(isinstance(value, argparse.ArgumentParser)
-                       for value in vars(cli).values())
+options:
+  -h, --help            show this help message and exit
+  --invariant {gamma_k,gamma_xk,gamma_xkt,rho2}
+  --n N
+  --r R
+  --k K
+  --timeout TIMEOUT     solver budget in seconds
+  --format {text,json,csv}
+"""
+
+VERIFY_HELP = """\
+usage: kneserdom verify [-h] --invariant {gamma_k,gamma_xk,gamma_xkt,rho2}
+                        [--k K] --input INPUT [--format {text,json,csv}]
+
+options:
+  -h, --help            show this help message and exit
+  --invariant {gamma_k,gamma_xk,gamma_xkt,rho2}
+  --k K
+  --input INPUT         path to a family document, or - for stdin
+  --format {text,json,csv}
+"""
+
+CONSTRUCT_HELP = """\
+usage: kneserdom construct [-h] --name
+                           {disjoint_clique,gamma_kt_boundary,rho3,rho4,\
+table3,doubling_lift,diagonal_lift,normalize}
+                           [--n N] [--r R] [--k K] [--t T] [--a A]
+                           [--input INPUT] [--check]
+                           [--format {text,json,csv}]
+
+options:
+  -h, --help            show this help message and exit
+  --name {disjoint_clique,gamma_kt_boundary,rho3,rho4,table3,doubling_lift,\
+diagonal_lift,normalize}
+  --n N
+  --r R
+  --k K
+  --t T
+  --a A
+  --input INPUT         input family document (lifts and normalize)
+  --check               run the designated verifier on the output
+  --format {text,json,csv}
+"""
+
+REPRODUCE_HELP = """\
+usage: kneserdom reproduce [-h] --table {1,2,3} [--format {text,json,csv}]
+
+options:
+  -h, --help            show this help message and exit
+  --table {1,2,3}
+  --format {text,json,csv}
+"""
+
+TOP_HELP = """\
+usage: kneserdom [-h] {compute,verify,construct,reproduce} ...
+
+positional arguments:
+  {compute,verify,construct,reproduce}
+                        the subcommand; `kneserdom <command> -h` lists its
+                        options
+
+options:
+  -h, --help            show this help message and exit
+
+subcommands:
+  compute     compute an invariant exactly
+  verify      check a family document
+  construct   emit a recorded construction
+  reproduce   recompute a recorded table
+"""
+
+TABLE3_CSV = "".join(
+    f"2-packing of K({3 * r - 3},{r}),{size} sets, valid,{size} sets, valid,"
+    f"MATCH\n" for r, size in [(4, 12), (5, 12), (6, 10), (7, 6), (8, 5)])
+
+
+# argv, then the exit code, stdout and last stderr line that argparse gave,
+# at 80 columns
+PARITY = [
+    ("compute --invariant=gamma_k --n=5 --r=2 --k=1 --format=csv",
+     0, "1 2\n1 3\n2 3\n", ""),
+    ("compute --inv gamma_k --n 5 --r 2 --k 1 --for csv",
+     0, "1 2\n1 3\n2 3\n", ""),
+    ("verify --i rho2 --input x.json", 64, "",
+     "kneserdom verify: error: ambiguous option: --i could match "
+     "--invariant, --input"),
+    ("construct --n 9 --na disjoint_clique --k 2 --r 2 --format csv",
+     0, "1 2\n3 4\n5 6\n7 8\n", ""),
+    ("compute --invariant rho2 --r 3 --n", 64, "",
+     "kneserdom compute: error: argument --n: expected one argument"),
+    ("compute --invariant rho2 --n 7 --r 3 --bogus 1", 64, "",
+     "kneserdom compute: error: unrecognized arguments: --bogus 1"),
+    ("reproduce --table 3 extra", 64, "",
+     "kneserdom reproduce: error: unrecognized arguments: extra"),
+    ("compute --invariant rho2 --n x --r 3", 64, "",
+     "kneserdom compute: error: argument --n: invalid int value: 'x'"),
+    ("compute --invariant rho2 --n 7 --r 3 --timeout soon", 64, "",
+     "kneserdom compute: error: argument --timeout: invalid float value: "
+     "'soon'"),
+    ("compute --invariant rho2 --n 7 --r 3 --format xml", 64, "",
+     "kneserdom compute: error: argument --format: invalid choice: 'xml' "
+     "(choose from 'text', 'json', 'csv')"),
+    ("reproduce --table 9", 64, "",
+     "kneserdom reproduce: error: argument --table: invalid choice: 9 "
+     "(choose from 1, 2, 3)"),
+    ("compute --invariant rho2", 64, "",
+     "kneserdom compute: error: the following arguments are required: "
+     "--n, --r"),
+    ("compute --invariant rho2 --n 8 --r 3 --format json --format csv",
+     0, "1 2 3\n", ""),
+    ("compute --invariant gamma_k --n 5 --r 2 --k -1", 1, "",
+     "error: k must be a positive integer, got -1"),
+    ("construct --name table3 --r 4 --check=1", 64, "",
+     "kneserdom construct: error: argument --check: ignored explicit "
+     "argument '1'"),
+    ("construct --name table3 --r 4 --check --format csv", 0,
+     "".join(" ".join(map(str, s)) + "\n" for s in TABLE3_PACKINGS[4]), ""),
+    ("reproduce --table=3 --format=csv", 0,
+     TABLE3_CSV + "table 3: PASS\n", ""),
+    ("compute -- --invariant rho2", 64, "",
+     "kneserdom compute: error: the following arguments are required: "
+     "--invariant, --n, --r"),
+    ("compute -hx", 64, "",
+     "kneserdom compute: error: argument -h/--help: ignored explicit "
+     "argument 'x'"),
+    ("", 64, "",
+     "kneserdom: error: the following arguments are required: command"),
+    ("bogus", 64, "",
+     "kneserdom: error: argument command: invalid choice: 'bogus' (choose "
+     "from 'compute', 'verify', 'construct', 'reproduce')"),
+    ("-- compute", 64, "", "kneserdom: error: the subcommand must come first"),
+    ("-h", 0, TOP_HELP, ""),
+    ("compute -h", 0, COMPUTE_HELP, ""),
+    ("verify -h", 0, VERIFY_HELP, ""),
+    ("construct -h", 0, CONSTRUCT_HELP, ""),
+    ("reproduce -h", 0, REPRODUCE_HELP, ""),
+]
+
+
+@pytest.mark.parametrize("argv,code,out,last", PARITY,
+                         ids=[case[0] or "(empty)" for case in PARITY])
+def test_argparse_parity(capsys, monkeypatch, argv, code, out, last):
+    monkeypatch.setenv("COLUMNS", "80")
+    got_code, got_out, err = run(capsys, *argv.split())
+    assert (got_code, got_out) == (code, out)
+    assert (err.splitlines() or [""])[-1] == last
+    if code == EXIT_USAGE:
+        assert err.startswith("usage: kneserdom")
 
 
 class TestVerify:

@@ -1000,9 +1000,9 @@ def test_lp_runs_behind_the_ceiling(monkeypatch):
 
 class TestTimeout:
     """An expired budget stops at the first deadline check (every move of
-    the domination local search, every 512 domination nodes, every 256
-    clique nodes, every 64 rows of the compatibility graph's build), so
-    these brackets do not depend on the speed of the machine."""
+    the domination local search, every 512 domination nodes, every clique
+    node, every 64 rows of the compatibility graph's build), so these
+    brackets do not depend on the speed of the machine."""
 
     def test_domination_timeout_returns_bracket(self):
         res = dom(10, 3, KTT, 3, timeout=1e-9)
@@ -1025,7 +1025,21 @@ class TestTimeout:
         monkeypatch.setattr(kneserdom.solve, "_relation_bitsets", slow_build)
         res = solve_rho2(KneserParams(11, 5), SolverConfig(timeout=0.05))
         assert res.status is SolveStatus.BOUNDS
-        assert res.nodes == 256
+        assert res.nodes == 1
+
+    def test_clique_search_checks_the_deadline_at_every_node(self):
+        # a clique node can cost a minute on K(17,8), so the first node
+        # under an expired deadline is the last
+        params = KneserParams(9, 4)
+        masks = list(params.vertex_masks())
+        contains = kneserdom.solve._containers(masks)
+        compat = kneserdom.solve._relation_bitsets(
+            masks, contains, packing_intersections(params))
+        search = kneserdom.solve._CliqueSearch(
+            compat, masks, contains, len(masks), kneserdom.solve._Deadline(0.0))
+        with pytest.raises(kneserdom.solve._Timeout):
+            search.expand([0], compat[0], None)
+        assert search.nodes == 1
 
     def test_rho2_timeout_returns_bracket(self):
         # the build checks the deadline at its first row, so the bracket is

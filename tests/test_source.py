@@ -15,10 +15,6 @@ SOURCES = sorted(PACKAGE.glob("*.py"))
 # re-exports.
 CALLERS = [path for path in SOURCES if path.name != "__init__.py"]
 
-# Definitions that a framework calls by name: argparse calls the parser's
-# error method.
-CALLED_BY_FRAMEWORK = {"_Parser.error"}
-
 
 def _trees(paths):
     return [ast.parse(path.read_text(), str(path)) for path in paths]
@@ -80,7 +76,6 @@ def test_every_definition_is_used():
         for qualified, name, member in _definitions(tree.body)
         if name not in (as_attribute if member else used)
         and not (name.startswith("__") and name.endswith("__"))
-        and qualified not in CALLED_BY_FRAMEWORK
     ]
     assert dead == []
 
@@ -164,6 +159,23 @@ def test_cli_import_generates_no_dataclass_code():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_call_loads_no_argparse():
+    """`cli` parses by its own rows, so a fresh import and a parsed call
+    load neither `argparse` nor the `gettext` it pulls in."""
+    src = str(Path(kneserdom.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, kneserdom.cli; "
+         "code = kneserdom.cli.main(['compute', '--invariant', 'rho2', "
+         "'--n', '8', '--r', '3']); "
+         "print(code, sorted({'argparse', 'gettext'} & set(sys.modules)))"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 # A code name in README.md: a backticked identifier, bare or dotted, or a
