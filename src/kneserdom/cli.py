@@ -1,9 +1,10 @@
 """Command-line front end: compute, verify, construct, reproduce.
 
 `COMMANDS` is the one statement of each subcommand: its handler, its help
-line and its options. Its rows drive the parsing (`_parse`, which reads
-argv as argparse would), the `-h` text and every usage error; the text is
-laid out by `clihelp`, which only a help or an error loads.
+line and its options. `_parse` reads a call spelled with the rows' exact
+flags straight from the rows; any other argv (`-h`, a usage error, an
+abbreviated flag, a value that starts with a dash, "--") goes to an
+argparse parser built from the same rows, so only those load `argparse`.
 
 `CONSTRUCTIONS` is the one statement of what `construct --name` accepts:
 the function each name calls, the options it takes, and the invariant
@@ -17,7 +18,6 @@ mismatched row or error, 2 `compute` timeout (bounds only), 64 usage error.
 from __future__ import annotations
 
 import json
-import re
 import sys
 from contextlib import nullcontext
 from types import SimpleNamespace
@@ -296,9 +296,11 @@ _FORMAT = ("--format", {"choices": ("text", "json", "csv"), "default": "text"})
 
 class Command(Record):
     """A subcommand: the handler `main` calls with its parsed options, its
-    help line, and its options, each a flag and a spec in argparse's terms:
-    its "type", "required", "default", "choices", "help", and "action" for
-    the one flag that takes no value (`_parse`)."""
+    help line, and its options, each a flag and the keyword arguments of
+    its `add_argument`: "type", "required", "default", "choices", "help",
+    and "action" for the one flag that takes no value. `_parse` reads these
+    keys itself for argv made of the exact flags; `_argparse` passes them
+    to argparse."""
     __slots__ = ("handler", "help", "options")
 
     def __init__(self, handler: Callable[[SimpleNamespace], int],
@@ -340,126 +342,92 @@ COMMANDS: dict[str, Command] = {
 }
 
 
-def _usage_error(prog: str, rows, message: str):
-    """Exit 64 as argparse does: the usage, then the message, on stderr."""
-    from . import clihelp
-    sys.stderr.write(f"{clihelp.usage(prog, rows)}{prog}: error: {message}\n")
-    sys.exit(EXIT_USAGE)
+# The top level's one row: the positional that names the subcommand.
+_TOP = (("command", {"choices": tuple(COMMANDS),
+                     "help": "the subcommand; `kneserdom <command> -h` "
+                             "lists its options"}),)
 
 
-def _option(arg: str, flags, fail) -> tuple[str, str | None] | None:
-    """How argparse reads `arg` against the option strings `flags`: None
-    for a value, else the option it names, "" for none, and any value
-    glued to it by "=" or to -h. A unique prefix names a long option."""
-    if arg[:1] != "-" or arg == "-":
-        return None
-    if arg in flags:
-        return arg, None
-    head, eq, tail = arg.partition("=")
-    if eq and head in flags:
-        return head, tail
-    found = ([(flag, tail if eq else None) for flag in flags
-              if flag.startswith(head)] if arg[1] == "-"
-             else [("-h", arg[2:])] * (arg[1] == "h"))
-    if len(found) > 1:
-        fail(f"ambiguous option: {arg} could match "
-             + ", ".join(flag for flag, _ in found))
-    if found:
-        return found[0]
-    # a negative number, or a string with a space, is a value
-    if " " in arg or re.match(r"^-\d+$|^-\d*\.\d+$", arg):
-        return None
-    return "", None
-
-
-def _parse(prog: str, rows, argv: list[str]) -> SimpleNamespace:
-    """`argv` parsed by the rows `rows` as argparse parses it, with `prog`
-    naming it in the help and the usage errors. A row whose flag has no
-    dash is a positional. Strings act left to right: the last of a repeated
-    option wins, and -h prints the help where it stands."""
-    def fail(message: str):
-        _usage_error(prog, rows, message)
-
-    flags: dict[str, dict | None] = {"-h": None, "--help": None}
-    flags.update(row for row in rows if row[0][0] == "-")
-    positional = [row for row in rows if row[0][0] != "-"]
+def _parse(prog: str, rows, argv: list[str]):
+    """`argv` parsed by the rows `rows` when it is made of their exact
+    flags, each with its value after "=" or in the next string, a value
+    that starts with a dash being only "-"; `--check` takes none. The
+    values convert by the row's type, fall in its choices, and leave no
+    required row out. Any other argv is parsed by `_argparse`, which gives
+    the help, the usage errors and the odd spellings."""
+    specs = dict(rows)
     values = {flag.lstrip("-"):
               spec.get("default", False if "action" in spec else None)
               for flag, spec in rows}
-    kinds: list = []
-    for arg in argv:  # every string after a "--" is a value
-        kinds.append(None if "--" in kinds else "--" if arg == "--"
-                     else _option(arg, flags, fail))
-    seen, extras, i = set(), [], 0
+    i = 0
     while i < len(argv):
-        kind = kinds[i]
+        flag, eq, text = argv[i].partition("=")
+        spec = specs.get(flag)
         i += 1
-        if kind is None or kind == "--":  # the positional, beside any "--"
-            at = i - (kind is None)
-            if not positional or at == len(argv):
-                extras.append(argv[i - 1])
-                continue
-            (flag, spec), text = positional.pop(), argv[at]
-            i = at + 1 + (kinds[at + 1:at + 2] == ["--"])
+        if spec is None or eq and "action" in spec:
+            break
+        if "action" in spec:
+            value = True
         else:
-            flag, text = kind
-            spec = flags.get(flag)
-            if not flag:
-                extras.append(argv[i - 1])
-                continue
-            if spec is None or "action" in spec:  # -h, --help or --check
-                while text is not None:  # -hh is -h twice
-                    if flag != "-h" or text[:1] != "h":
-                        name = "-h/--help" if spec is None else flag
-                        fail(f"argument {name}: ignored explicit argument "
-                             f"{text!r}")
-                    text = text[1:] or None
-                if spec is None:
-                    from . import clihelp
-                    sys.stdout.write(clihelp.help_text(prog, rows, COMMANDS))
-                    sys.exit(EXIT_OK)
-            elif text is None:
-                if i == len(argv) or kinds[i] is not None:
-                    fail(f"argument {flag}: expected one argument")
-                text = argv[i]
-                i += 1
-        seen.add(flag)
-        if text is None or text == "--" and flag[0] == "-":
-            # argparse drops a "--" from a value, which leaves no value
-            values[flag.lstrip("-")] = [] if text else True
-            continue
-        convert, choices = spec.get("type", str), spec.get("choices")
-        try:
-            value = convert(text)
-        except ValueError:
-            fail(f"argument {flag}: invalid {convert.__name__} value: {text!r}")
-        if choices is not None and value not in choices:
-            fail(f"argument {flag}: invalid choice: {value!r} (choose from "
-                 f"{', '.join(map(repr, choices))})")
+            if not eq:
+                if i == len(argv):
+                    break
+                text, i = argv[i], i + 1
+            if text[:1] == "-" and text != "-":
+                break
+            try:
+                value = spec.get("type", str)(text)
+            except ValueError:
+                break
+            choices = spec.get("choices")
+            if choices is not None and value not in choices:
+                break
         values[flag.lstrip("-")] = value
-    missing = [flag for flag, spec in rows if flag not in seen
-               and (spec.get("required") or flag[0] != "-")]
-    if missing:
-        fail(f"the following arguments are required: {', '.join(missing)}")
-    if extras:
-        fail(f"unrecognized arguments: {' '.join(extras)}")
-    return SimpleNamespace(**values)
+    else:  # no parsed value is None, so a required None was not given
+        if all(values[flag.lstrip("-")] is not None
+               for flag, spec in rows if spec.get("required")):
+            return SimpleNamespace(**values)
+    return _argparse(prog, rows, argv)
+
+
+def _argparse(prog: str, rows, argv: list[str]):
+    """`argv` parsed by an argparse parser built from `rows`, which prints
+    the help (exit 0) and the usage errors (exit 64). `_TOP` builds the top
+    level's parser, whose help lists the subcommands; an argv it parses,
+    a name after "--", is an error, as the subcommand must come first.
+    argparse reads `--opt=--` as an empty list, which is an error here."""
+    import argparse
+    top = rows is _TOP
+    parser = argparse.ArgumentParser(
+        prog=prog, formatter_class=argparse.RawDescriptionHelpFormatter,
+        usage=("%(prog)s [-h] {" + ",".join(COMMANDS) + "} ..."
+               if top else None),
+        epilog="subcommands:\n" + "\n".join(
+            f"  {name:12}{row.help}" for name, row in COMMANDS.items())
+        if top else None)
+    for flag, spec in rows:
+        parser.add_argument(flag, **spec)
+    try:
+        args = parser.parse_args(argv)
+        for flag, _ in rows:
+            if getattr(args, flag.lstrip("-")) == []:
+                parser.error(f"argument {flag}: expected one argument")
+        if top:
+            parser.error("the subcommand must come first")
+    except SystemExit as exc:  # usage errors get a distinct exit code
+        sys.exit(EXIT_USAGE if exc.code == 2 else exc.code)
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run the subcommand that `argv` (default `sys.argv[1:]`) names first,
     with the rest parsed by its rows in `COMMANDS`. When `argv` names no
-    subcommand first, the top-level rows, whose one positional takes the
-    name, print the help or a usage error."""
+    subcommand first, the top level prints the help or a usage error."""
     if argv is None:
         argv = sys.argv[1:]
     command = argv[0] if argv else None
     if command not in COMMANDS:
-        top = (("command", {"choices": tuple(COMMANDS),
-                            "help": "the subcommand; `kneserdom <command> -h` "
-                                    "lists its options"}),)
-        _parse("kneserdom", top, argv)  # exits, unless argv is "--" and a name
-        _usage_error("kneserdom", top, "the subcommand must come first")
+        _argparse("kneserdom", _TOP, argv)  # exits
     args = _parse(f"kneserdom {command}", COMMANDS[command].options, argv[1:])
     try:
         return COMMANDS[command].handler(args)

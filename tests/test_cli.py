@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from kneserdom import TABLE3_PACKINGS, SolveResult
+from kneserdom import TABLE3_PACKINGS, SolveResult, cli
 from kneserdom.cli import (
     COMMANDS,
     CONSTRUCTIONS,
@@ -362,6 +362,34 @@ def test_argparse_parity(capsys, monkeypatch, argv, code, out, last):
     assert (err.splitlines() or [""])[-1] == last
     if code == EXIT_USAGE:
         assert err.startswith("usage: kneserdom")
+
+
+@pytest.mark.parametrize("argv,flag", [
+    ("reproduce --table=--", "--table"),
+    ("compute --invariant=-- --n 5 --r 2 --k 1", "--invariant"),
+    ("compute --invariant rho2 --n 7 --r 3 --format=--", "--format"),
+])
+def test_double_dash_value_is_a_usage_error(capsys, argv, flag):
+    # argparse reads --opt=-- as an empty list, which reached the handlers
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.splitlines()[-1] == (f"kneserdom {argv.split()[0]}: error: "
+                                    f"argument {flag}: expected one argument")
+
+
+@pytest.mark.parametrize("argv", [
+    "--inv rho2 --n 8 --r 3", "--invariant rho2 --n 8 --r 3 --k -1",
+    "--invariant rho2 --n=-8 --r 3", "-- --invariant rho2 --n 8 --r 3",
+    "--invariant rho2 --n 8 --r 3 -h", "--invariant rho2 --n 8",
+    "--invariant rho2 --n 8 --r x",
+])
+def test_other_spellings_are_handed_to_argparse(monkeypatch, argv):
+    rows, words = COMMANDS["compute"].options, argv.split()
+    handed = []
+    monkeypatch.setattr(cli, "_argparse",
+                        lambda *call: handed.append(call) or "parsed")
+    assert cli._parse("kneserdom compute", rows, words) == "parsed"
+    assert handed == [("kneserdom compute", rows, words)]
 
 
 class TestVerify:

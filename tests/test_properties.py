@@ -1,8 +1,10 @@
 """Property tests: the domination verifier under relabellings of [n] and on
 supersets of valid families, the 2-packing verifier on subfamilies, the
 lifts on subfamilies of odd-graph packings, the family-document parser on
-any JSON-like object, and the Delsarte dual against its independent
-check."""
+any JSON-like object, the Delsarte dual against its independent check, and
+the CLI's own option reader against argparse on well-formed calls."""
+
+from unittest import mock
 
 import pytest
 
@@ -16,6 +18,7 @@ from kneserdom import (
     KneserParams,
     Vertex,
     VertexFamily,
+    cli,
     diagonal_lift,
     doubling_lift,
     parse_family_document,
@@ -238,3 +241,56 @@ def test_superset_of_a_valid_family_is_valid(case):
     base, superset, kind, k = case
     assert verify(base, kind, k).valid
     assert verify(superset, kind, k).valid
+
+
+_DIGITS = ("0123456789", "٠١٢٣٤٥٦٧٨٩", "０１２３４５６７８９")
+
+
+def _option_values(spec):
+    """Strings that `spec`'s type and choices accept, none starting with a
+    dash but "-" itself: integers in any of three digit scripts, floats,
+    choices and any other text."""
+    if spec.get("type") is int:
+        numbers = (st.sampled_from(spec["choices"]) if "choices" in spec
+                   else st.integers(0, 10**6))
+        return st.builds(
+            lambda number, digits: str(number).translate(
+                str.maketrans(_DIGITS[0], digits)),
+            numbers, st.sampled_from(_DIGITS))
+    if spec.get("type") is float:
+        return st.floats(0, 1e9, allow_nan=False).map(repr)
+    if "choices" in spec:
+        return st.sampled_from(spec["choices"])
+    return st.just("-") | st.text(max_size=8).filter(lambda s: s[:1] != "-")
+
+
+@st.composite
+def well_formed_calls(draw):
+    """(subcommand, argv) with each row's exact flag zero to two times, a
+    required one at least once, in any order, with its value after "=" or
+    in the next string; `--check` bare."""
+    name = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    groups = []
+    for flag, spec in cli.COMMANDS[name].options:
+        for _ in range(draw(st.integers(1 if spec.get("required") else 0, 2))):
+            if "action" in spec:
+                groups.append([flag])
+                continue
+            value = draw(_option_values(spec))
+            groups.append([f"{flag}={value}"] if draw(st.booleans())
+                          else [flag, value])
+    groups = draw(st.permutations(groups))
+    return name, [word for group in groups for word in group]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(well_formed_calls())
+def test_exact_flag_calls_parse_as_argparse_parses_them(call):
+    """`cli._parse` reads these calls itself, into the namespace that
+    argparse gives for the same rows."""
+    name, argv = call
+    prog, rows = f"kneserdom {name}", cli.COMMANDS[name].options
+    with mock.patch.object(cli, "_argparse",
+                           side_effect=AssertionError("handed to argparse")):
+        args = cli._parse(prog, rows, argv)
+    assert vars(args) == vars(cli._argparse(prog, rows, argv))
