@@ -23,6 +23,7 @@ from kneserdom import (
     verify_2_packing,
 )
 from kneserdom.certify import check_k
+from kneserdom.solve import _LOCAL_MOVES, _LOCAL_SEED, _TABU_TENURE, _bits
 
 
 def vertices(params: KneserParams) -> list[Vertex]:
@@ -253,6 +254,40 @@ def bron_kerbosch_rho2(params: KneserParams) -> int:
 
     expand(0, set(far), set())
     return best
+
+
+def reference_shrink(search, family: list[int], lower: int):
+    """`_DominationSearch.shrink` as first written, with a tabu list, a
+    closure over it and `max`/`min` over `_gain`/`_loss`: the rewrite must
+    yield the same families, draw the same random numbers and check the
+    deadline as often."""
+    rng = random.Random(_LOCAL_SEED)
+
+    def allowed(pool: int, move: int) -> list[int]:
+        members = list(_bits(pool))
+        return [v for v in members if tabu[v] <= move] or members
+
+    search._reset()
+    for v in family:
+        search._place(v, 1)
+    for _ in range(len(family) - 1, lower - 1, -1):
+        search._place(min(_bits(search.chosen), key=search._loss), -1)
+        tabu = [0] * search.V  # tabu[v]: the first move that may move v
+        for move in range(_LOCAL_MOVES):
+            search.deadline.check()
+            if not search.needy:
+                break
+            u = rng.choice(list(_bits(search.needy)))
+            v = max(allowed(search.helpers[u] & ~search.chosen, move),
+                    key=search._gain)
+            search._place(v, 1)
+            w = min(allowed(search.chosen & ~(1 << v), move),
+                    key=search._loss)
+            search._place(w, -1)
+            tabu[v] = tabu[w] = move + 1 + _TABU_TENURE
+        if search.needy:
+            return
+        yield list(_bits(search.chosen))
 
 
 def reference_delsarte_lp(n: int, r: int) -> tuple[Fraction, list[Fraction]]:

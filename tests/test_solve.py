@@ -42,6 +42,7 @@ from helpers import (
     bron_kerbosch_rho2,
     brute_force_domination,
     reference_delsarte_lp,
+    reference_shrink,
     vertices,
 )
 
@@ -522,6 +523,44 @@ class TestSortedGainBound:
                 for v in range(V)]
         assert out_of_order > 0
 
+    @pytest.mark.parametrize("n,r", [(6, 2), (7, 3)])
+    @pytest.mark.parametrize("kind,k", [(KD, 2), (KT, 3), (KTT, 1)])
+    def test_scorers_pick_as_max_and_min(self, n, r, kind, k):
+        """`_most_gain` and `_least_loss`, which inline `_gain` and `_loss`,
+        pick what `max(pool, key=_gain)` and `min(pool, key=_loss)` pick,
+        the lowest on a tie, from the pools `shrink` hands them: the free
+        helpers of a needy vertex and the members, less the tabu ones
+        unless every one is tabu, on seeded random partial states."""
+        rng = random.Random(f"scorers,{n},{r},{kind.name},{k}")
+        search = _search(n, r, kind, k)
+        V = search.V
+        ties = all_frozen = 0
+        for _ in range(60):
+            search._reset()
+            for v in rng.sample(range(V), rng.randrange(1, 9)):
+                search._place(v, 1)
+            p_frozen = rng.choice([0.2, 0.6, 1.0])
+            frozen = sum(1 << v for v in range(V) if rng.random() < p_frozen)
+            pools = [search.chosen]
+            if search.needy:
+                u = rng.choice(list(kneserdom.solve._bits(search.needy)))
+                pools.append(search.helpers[u] & ~search.chosen)
+            for pool, pick, key, best in [
+                    (pools[-1], search._most_gain, search._gain, max),
+                    (pools[0], search._least_loss, search._loss, min)]:
+                if not pool:
+                    continue  # every helper is chosen: `shrink` never asks
+                members = [v for v in range(V) if pool >> v & 1]
+                allowed = ([v for v in members if not frozen >> v & 1]
+                           or members)
+                all_frozen += pool & ~frozen == 0
+                before = _state(search)
+                assert pick(pool & ~frozen or pool) == best(allowed, key=key)
+                assert _state(search) == before
+                scores = [key(v) for v in allowed]
+                ties += scores.count(best(scores)) > 1
+        assert ties > 0 and all_frozen > 0  # both edge cases were tested
+
 
 class TestSlackCut:
     """`_DominationSearch._target` cuts (returns None) exactly when choosing
@@ -640,6 +679,46 @@ class TestRootBounds:
             assert family == fresh.find(size, True)
             assert search.nodes - before == fresh.nodes > 0
         assert len(family) == value
+
+    @pytest.mark.parametrize("n,r,kind,k", [
+        *((n, 2, kind, 2) for n in (4, 5, 6) for kind in (KD, KT, KTT)
+          if (n, kind) != (4, KTT)),  # K(4,2) is a matching: undefined
+        (7, 3, KD, 2), (7, 3, KT, 3), (7, 3, KTT, 1),
+        (8, 3, KTT, 1), (8, 3, KD, 2),
+        (9, 3, KD, 2),
+        (9, 4, KD, 1), (9, 4, KD, 2),
+        (10, 4, KTT, 2),
+        (16, 3, KD, 3), (16, 3, KTT, 3),
+    ])
+    def test_shrink_matches_reference(self, n, r, kind, k):
+        """`shrink` yields the same families as `reference_shrink`, the
+        search as first written, and checks the deadline as often: from
+        the greedy family down to size 1, which runs every move of the
+        first size missed, and down to the root lower bound of
+        `solve_domination`, where the search may stop by that bound."""
+
+        class Counter:
+            calls = 0
+
+            def check(self):
+                self.calls += 1
+
+        params = KneserParams(n, r)
+        masks = list(params.vertex_masks())
+        for lower in (1, None):
+            runs = []
+            for shrink in (reference_shrink,
+                           kneserdom.solve._DominationSearch.shrink):
+                deadline = Counter()
+                search = kneserdom.solve._DominationSearch(masks, kind, k,
+                                                           deadline)
+                greedy = search.greedy()
+                if lower is None:
+                    lower = max(kneserdom.solve._theorem_bound(params, k)[0],
+                                search.counting_bound())
+                runs.append((list(shrink(search, greedy, lower)),
+                             deadline.calls))
+            assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("kind", [KD, KTT])
     def test_k163_bracket_narrows_to_7_8(self, kind):
