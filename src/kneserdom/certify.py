@@ -24,6 +24,7 @@ from .core import (
     Record,
     Vertex,
     VertexFamily,
+    capped_comb,
     internal_check,
 )
 
@@ -78,10 +79,13 @@ def check_k(k: int) -> None:
 
 def is_defined(params: KneserParams, kind: InvariantKind, k: int) -> bool:
     """Whether some family meets the demand: D = V(G) gives each vertex its
-    degree plus its self-credit, and no family gives more. Raises
-    ParameterError for k < 1 (`check_k`)."""
+    degree plus its self-credit, and no family gives more. K(n,r) is
+    regular of degree C(n-r, r), which `capped_comb` compares with what it
+    must reach without building it. Raises ParameterError for k < 1
+    (`check_k`)."""
     check_k(k)
-    return params.min_degree + self_credit(kind, k) >= k
+    need = k - self_credit(kind, k)
+    return capped_comb(params.n - params.r, params.r, need) >= need
 
 
 def _low_prefixes(mask: int, count: int) -> list[int]:

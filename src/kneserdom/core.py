@@ -53,6 +53,18 @@ def default_vertex_ceiling() -> int:
     return value
 
 
+def capped_comb(n: int, r: int, cap: int) -> int:
+    """min(C(n, r), cap + 1) for 0 <= r <= n, without building a binomial
+    past cap: the partial products C(n, i), i = 1..min(r, n - r), rise with
+    i, so the first one above cap settles the answer."""
+    value = 1
+    for i in range(1, min(r, n - r) + 1):
+        value = value * (n - i + 1) // i
+        if value > cap:
+            return cap + 1
+    return value
+
+
 class Record:
     """Base of the package's records: == and hash by the fields, which are
     the subclass's __slots__ in order, a `Name(field=value, ...)` repr, and
@@ -100,6 +112,9 @@ class KneserParams(Record):
     __slots__ = ("n", "r")
 
     def __init__(self, n: int, r: int) -> None:
+        # type() rather than isinstance(): True is an int, and 7.0 is not
+        if type(n) is not int or type(r) is not int:
+            raise ParameterError(f"n and r must be integers, got {n!r} and {r!r}")
         if r < 1:
             raise ParameterError(f"r must be positive, got {r}")
         if n < 2 * r:
@@ -111,19 +126,16 @@ class KneserParams(Record):
         return comb(self.n, self.r)
 
     @property
-    def min_degree(self) -> int:
-        # K(n,r) is regular of degree C(n-r, r).
-        return comb(self.n - self.r, self.r)
-
-    @property
     def ground_mask(self) -> int:
         return (1 << self.n) - 1
 
     def check_capacity(self) -> None:
+        """Raise CapacityError when K(n,r) has more vertices than the
+        ceiling; the count is bounded, not computed, above it."""
         limit = default_vertex_ceiling()
-        if self.vertex_count > limit:
+        if capped_comb(self.n, self.r, limit) > limit:
             raise CapacityError(
-                f"K({self.n},{self.r}) has {self.vertex_count} vertices, "
+                f"K({self.n},{self.r}) has C({self.n},{self.r}) vertices, "
                 f"exceeding the ceiling of {limit}"
             )
 

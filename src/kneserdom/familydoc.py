@@ -34,17 +34,14 @@ def parse_family_document(obj: Any) -> tuple[VertexFamily, dict]:
         if key not in obj:
             raise FamilyDocumentError(f"missing required field {key!r}")
     n, r, sets = obj["n"], obj["r"], obj["sets"]
-    # type() rather than isinstance(): JSON true parses to a bool, an int
-    if type(n) is not int or type(r) is not int:
-        raise FamilyDocumentError("fields 'n' and 'r' must be integers")
+    try:
+        params = KneserParams(n, r)  # also rejects a JSON true, 7.0 or "7"
+    except ParameterError as exc:
+        raise FamilyDocumentError(str(exc)) from exc
     if n > MAX_DOCUMENT_N:
         raise FamilyDocumentError(
             f"n = {n} exceeds the largest supported n, {MAX_DOCUMENT_N}"
         )
-    try:
-        params = KneserParams(n, r)
-    except ParameterError as exc:
-        raise FamilyDocumentError(str(exc)) from exc
     if not isinstance(sets, list):
         raise FamilyDocumentError("field 'sets' must be a list of lists")
 

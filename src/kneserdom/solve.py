@@ -100,6 +100,11 @@ class SolverConfig(Record):
 
     def __init__(self, timeout: float = 60.0,
                  symmetry_breaking: bool = True) -> None:
+        # an int or a float: True is an int but no budget, and a str or
+        # None would fail at the first deadline check
+        if not isinstance(timeout, (int, float)) or isinstance(timeout, bool):
+            raise ParameterError(
+                f"timeout must be a number of seconds, got {timeout!r}")
         if not timeout > 0:  # also rejects NaN, which never expires
             raise ParameterError(f"timeout must be positive, got {timeout}")
         self._set_fields(timeout, symmetry_breaking)

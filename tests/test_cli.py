@@ -107,14 +107,26 @@ class TestCompute:
         assert code == EXIT_FAIL
         assert "need n >= 2r" in err
 
-    def test_vertex_ceiling_flag(self, capsys, monkeypatch):
-        monkeypatch.setenv("KNESERDOM_VERTEX_CEILING", "10")
-        code, _, err = run(
-            capsys, "compute", "--invariant", "gamma_k",
-            "--n", "9", "--r", "2", "--k", "1",
-        )
+    @pytest.mark.parametrize("argv,ceiling", [
+        (["gamma_k", "--n", "9", "--r", "2", "--k", "1"], "10"),
+        # vertex counts and degrees of thousands of digits: the ceiling and
+        # definability are settled by a bounded binomial, so neither count
+        # is built or printed
+        (["rho2", "--n", "20001", "--r", "10000"], None),
+        (["gamma_k", "--n", "1000000", "--r", "300000", "--k", "2"], None),
+        (["gamma_k", "--n", "4000", "--r", "1000", "--k", "2"], None),
+    ])
+    def test_vertex_ceiling_flag(self, capsys, monkeypatch, argv, ceiling):
+        if ceiling is None:
+            monkeypatch.delenv("KNESERDOM_VERTEX_CEILING", raising=False)
+        else:
+            monkeypatch.setenv("KNESERDOM_VERTEX_CEILING", ceiling)
+        code, out, err = run(capsys, "compute", "--invariant", *argv)
         assert code == EXIT_FAIL
-        assert "exceeding the ceiling" in err
+        assert out == ""
+        n, r = argv[2], argv[4]
+        assert err == (f"error: K({n},{r}) has C({n},{r}) vertices, exceeding "
+                       f"the ceiling of {ceiling or 5000000}\n")
 
     @pytest.mark.parametrize("argv", [
         ["gamma_k", "--n", "7", "--r", "2", "--k", "2"],

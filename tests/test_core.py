@@ -4,6 +4,7 @@ import copy
 import pickle
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -18,6 +19,7 @@ from kneserdom import (
     VertexFamily,
     table3_packing,
 )
+from kneserdom.core import capped_comb
 
 from helpers import (
     closed_neighbor_count,
@@ -43,25 +45,41 @@ class TestKneserParams:
     def test_basic_quantities(self):
         p = K(5, 2)
         assert p.vertex_count == 10
-        assert p.min_degree == 3  # Petersen graph is cubic
+        assert capped_comb(5 - 2, 2, 10) == 3  # the degree: Petersen is cubic
 
     def test_k_2r_allowed(self):
         p = K(6, 3)
         assert p.vertex_count == 20
-        assert p.min_degree == 1
+        assert capped_comb(6 - 3, 3, 10) == 1  # a perfect matching
 
-    @pytest.mark.parametrize("n,r", [(3, 2), (5, 3), (0, 1), (4, 0)])
+    @pytest.mark.parametrize("n,r", [(3, 2), (5, 3), (0, 1), (4, 0),
+                                     # not ints, though 7.0 == 7 and True == 1
+                                     (7.0, 3), (7, 3.0), (True, 1), (7, True),
+                                     ("7", 3), (None, 3)])
     def test_rejects_bad_parameters(self, n, r):
         with pytest.raises(ParameterError):
             K(n, r)
 
-    def test_capacity_guard(self, monkeypatch):
+    @pytest.mark.parametrize("n,r", [(100, 50), (20001, 10000),
+                                     (1000000, 300000), (4000, 1000)])
+    def test_capacity_guard(self, monkeypatch, n, r):
         from kneserdom import CapacityError
 
         monkeypatch.setenv("KNESERDOM_VERTEX_CEILING", str(10**6))
-        with pytest.raises(CapacityError):
-            K(100, 50).check_capacity()
+        with pytest.raises(CapacityError,
+                           match=rf"^K\({n},{r}\) has C\({n},{r}\) vertices, "
+                                 r"exceeding the ceiling of 1000000$"):
+            K(n, r).check_capacity()
         K(10, 3).check_capacity()
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_capped_comb(self, n):
+        """min(C(n, r), cap + 1) for every r in 0..n and every cap around
+        the binomial."""
+        for r in range(n + 1):
+            exact = comb(n, r)
+            for cap in range(max(0, exact - 2), exact + 3):
+                assert capped_comb(n, r, cap) == min(exact, cap + 1)
 
     def test_vertex_ceiling_env(self, monkeypatch):
         from kneserdom import CapacityError

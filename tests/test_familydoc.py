@@ -68,7 +68,7 @@ class TestParse:
             ([1, 2, 3], "document root must be a JSON object"),
             ({"n": 7, "r": 3}, "missing required field 'sets'"),
             ({"r": 3, "sets": []}, "missing required field 'n'"),
-            (doc(n="7"), "fields 'n' and 'r' must be integers"),
+            (doc(n="7"), "n and r must be integers"),
             (doc(n=5, r=3), "need n >= 2r"),
             (doc(n=10**7 + 1), "n = 10000001 exceeds the largest supported n"),
             (doc(n=10**7, r=1, sets=[[10**7 - i] for i in range(200)]),
@@ -83,7 +83,7 @@ class TestParse:
                 "sets[1]: duplicate of sets[0]",
             ),
             (doc(meta=[1]), "field 'meta' must be an object if present"),
-            (doc(r=True, sets=[[True]]), "fields 'n' and 'r' must be integers"),
+            (doc(r=True, sets=[[True]]), "n and r must be integers"),
             (doc(sets=[[1, 2, True]]), "sets[0]: must be a list of integers"),
         ],
     )

@@ -237,6 +237,11 @@ class TestSolverOptions:
             SolverConfig(timeout=0)
         with pytest.raises(ParameterError):
             SolverConfig(timeout=float("nan"))  # would never expire
+        for timeout in ("5", True, None):  # True is an int, but no budget
+            with pytest.raises(ParameterError,
+                               match="timeout must be a number of seconds"):
+                SolverConfig(timeout=timeout)
+        assert SolverConfig(timeout=2).timeout == 2
 
     def test_rho2_not_accepted(self):
         with pytest.raises(ParameterError):
@@ -263,6 +268,14 @@ def _family(n, r, sets):
         None, id="domination-verifier"),
     pytest.param(lambda: brute_force_domination(KneserParams(6, 2), KD, 1),
                  None, id="oracle"),
+    # counts of thousands of digits, bounded rather than computed, both for
+    # the ceiling and for definability (a degree of C(700000, 300000))
+    pytest.param(lambda: dom(1000000, 300000, KD, 2), None,
+                 id="domination-huge"),
+    pytest.param(lambda: dom(1000000, 300000, KTT, 2), None,
+                 id="total-domination-huge"),
+    pytest.param(lambda: solve_rho2(KneserParams(20001, 10000)), None,
+                 id="rho2-huge"),
     # paths that never enumerate answer whatever the ceiling
     pytest.param(lambda: solve_rho2(KneserParams(8, 3)).value, 1,
                  id="rho2-diameter-two"),
