@@ -72,17 +72,19 @@ def self_credit(kind: InvariantKind, k: int) -> int:
 
 
 def check_k(k: int) -> None:
-    """Reject a demand k below 1: the domination kinds need k >= 1."""
-    if k < 1:
-        raise ParameterError(f"k must be a positive integer, got {k}")
+    """Reject a demand k that is not an integer of at least 1: the
+    domination kinds need k >= 1."""
+    # type() rather than isinstance(): True is an int, and 2.0 is not
+    if type(k) is not int or k < 1:
+        raise ParameterError(f"k must be a positive integer, got {k!r}")
 
 
 def is_defined(params: KneserParams, kind: InvariantKind, k: int) -> bool:
     """Whether some family meets the demand: D = V(G) gives each vertex its
     degree plus its self-credit, and no family gives more. K(n,r) is
     regular of degree C(n-r, r), which `capped_comb` compares with what it
-    must reach without building it. Raises ParameterError for k < 1
-    (`check_k`)."""
+    must reach without building it. Raises ParameterError for a k that is
+    not a positive integer (`check_k`)."""
     check_k(k)
     need = k - self_credit(kind, k)
     return capped_comb(params.n - params.r, params.r, need) >= need

@@ -43,11 +43,13 @@ alone (`_refine`), and a clique whose classes are all single vertices keys
 nothing below it.
 
 A solver's budget counts from the start of the solve, graph build included,
-and is checked inside the search, at every move of the domination local
-search, and inside the compatibility graph's build, which on expiry leaves
-the bracket [1, LP floor]. The domination graph's build is not checked, as
-the greedy family, the upper bound a domination bracket falls back on, needs
-the whole graph. Every result with a witness leaves through `_certified`.
+and is checked at every node of both searches, at every move of the
+domination local search, and every 64 rows of the compatibility graph's
+build, which on expiry leaves the bracket [1, LP floor]. The domination
+graph's build is not checked, as the greedy family, the upper bound a
+domination bracket falls back on, needs the whole graph; that graph is held
+once, as one neighbour bitset per vertex. Every result with a witness leaves
+through `_certified`.
 """
 
 from __future__ import annotations
@@ -107,6 +109,10 @@ class SolverConfig(Record):
                 f"timeout must be a number of seconds, got {timeout!r}")
         if not timeout > 0:  # also rejects NaN, which never expires
             raise ParameterError(f"timeout must be positive, got {timeout}")
+        # None or 0 would turn orbital branching off and "no" would keep it
+        if type(symmetry_breaking) is not bool:
+            raise ParameterError(
+                f"symmetry_breaking must be a bool, got {symmetry_breaking!r}")
         self._set_fields(timeout, symmetry_breaking)
 
 
@@ -413,29 +419,34 @@ class _DominationSearch:
     `needy` and `tight` are those bitsets, `total` is the deficit left,
     the sum of max(0, k - cover[u]), and `chosen` is the family's bitset.
     `_place` is the only change to this state. A vertex's gain, the deficit
-    its choice removes, is a popcount against `needy` (`_gain`); a member's
-    loss, the deficit its drop adds, is a popcount against `tight`
-    (`_loss`); each adds the part of its self-credit that counts. The local
-    search scores its candidates with both inlined (`_most_gain`,
-    `_least_loss`).
+    its choice removes, is a popcount of its neighbours against `needy`
+    plus `gain_own[cover[v]]`; a member's loss, the deficit its drop adds,
+    is a popcount against `tight` plus `loss_own[cover[v]]`. These two
+    tables, indexed by cover, are the one place the self-credit's effect is
+    worked out. The local search scores its candidates with them
+    (`_most_gain`, `_least_loss`). The graph is held once, as the
+    neighbour bitsets `nbr`.
     """
 
     def __init__(self, masks, kind, k, deadline):
         self.masks = masks
         self.contains = _containers(masks)
         self.nbr = nbr = _relation_bitsets(masks, self.contains, (0,))
-        # the same neighbours as lists, which `_place` walks faster
-        self.adj = [list(_bits(m)) for m in nbr]
         self.k = k
-        self.credit = self_credit(kind, k)
+        self.credit = credit = self_credit(kind, k)
+        # the helpers of u, whose choice raises cover[u]: nbr[u] | own << u
+        self.own = 1 if credit else 0
         self.deadline = deadline
         self.V = len(nbr)
         self.nodes = 0
         degree = nbr[0].bit_count() if nbr else 0  # Kneser graphs are regular
-        self.max_gain = degree + self.credit
-        # helpers[u]: the vertices whose choice raises cover[u]
-        own = 1 if self.credit else 0
-        self.helpers = [nbr[u] | own << u for u in range(self.V)]
+        self.max_gain = degree + credit  # also the largest cover
+        # the part of v's self-credit that counts toward its own deficit when
+        # v, at cover c, is chosen (gain_own[c]) or dropped (loss_own[c])
+        self.gain_own = [min(credit, max(0, k - c))
+                         for c in range(self.max_gain + 1)]
+        self.loss_own = [min(credit, max(0, k + credit - c))
+                         for c in range(self.max_gain + 1)]
 
     def _reset(self) -> None:
         self.cover = [0] * self.V
@@ -443,40 +454,37 @@ class _DominationSearch:
         self.total = self.k * self.V
         self.chosen = 0
 
-    def _gain(self, v: int) -> int:
-        """The deficit that choosing the free vertex v removes."""
-        return ((self.nbr[v] & self.needy).bit_count()
-                + min(self.credit, max(0, self.k - self.cover[v])))
-
-    def _loss(self, v: int) -> int:
-        """The deficit that dropping the member v adds."""
-        return ((self.nbr[v] & self.tight).bit_count()
-                + min(self.credit,
-                      max(0, self.k + self.credit - self.cover[v])))
-
     def _place(self, v: int, step: int) -> None:
-        """Choose the free vertex v (step +1) or drop the member v (step -1).
+        """Choose the free vertex v (step +1) or drop the member v (step -1),
+        moving `total` by v's gain or loss.
 
         A neighbour's cover moves by one, so it leaves or joins `needy` only
         when it lands on `edge` (k going up, k-1 going down), and `tight`
-        only when it lands on edge + 1. v's own cover moves by the
-        self-credit, so its bits are compared before and after.
+        only when it lands on edge + 1. The neighbours are the bits of
+        `nbr[v]`, taken highest first, as the mask then shrinks as it goes.
+        v's own cover moves by the self-credit, so its bits are compared
+        before and after.
         """
-        k, cover = self.k, self.cover
+        k, cover, mask = self.k, self.cover, self.nbr[v]
+        before = cover[v]
         if step > 0:
-            self.total -= self._gain(v)
+            self.total -= ((mask & self.needy).bit_count()
+                           + self.gain_own[before])
             edge = k
         else:
-            self.total += self._loss(v)
+            self.total += ((mask & self.tight).bit_count()
+                           + self.loss_own[before])
             edge = k - 1
         flip_needy = flip_tight = 0
-        for u in self.adj[v]:
+        while mask:
+            u = mask.bit_length() - 1
+            bit = 1 << u
+            mask ^= bit
             c = cover[u] = cover[u] + step
             if c == edge:
-                flip_needy |= 1 << u
+                flip_needy |= bit
             elif c == edge + 1:
-                flip_tight |= 1 << u
-        before = cover[v]
+                flip_tight |= bit
         after = cover[v] = before + step * self.credit
         if (before < k) != (after < k):
             flip_needy |= 1 << v
@@ -487,15 +495,10 @@ class _DominationSearch:
         self.chosen ^= 1 << v
 
     def _gains(self, excluded: int) -> list[int]:
-        """gains[v]: `_gain(v)`, or 0 for v in `excluded`."""
-        nbr, needy, k, credit = self.nbr, self.needy, self.k, self.credit
-        full = k - credit  # a free vertex's whole credit counts up to here
+        """gains[v]: the gain of v, or 0 for v in `excluded`."""
+        nbr, needy, own = self.nbr, self.needy, self.gain_own
         count = int.bit_count  # popcount, bound once for this hot loop
-        # `_gain` inlined: this runs at most search nodes and at every greedy
-        # step, and a call per vertex made it about a third slower
-        return [0 if excluded >> v & 1
-                else count(nbr[v] & needy) + (credit if c <= full
-                                              else k - c if c < k else 0)
+        return [0 if excluded >> v & 1 else count(nbr[v] & needy) + own[c]
                 for v, c in enumerate(self.cover)]
 
     def _gain_bound(self, remaining: int, banned: int) -> int:
@@ -510,22 +513,20 @@ class _DominationSearch:
         """The needy vertex of least slack, the lowest on a tie, or None when
         some needy vertex has negative slack.
 
-        slack(u) is u's supply minus its deficit k - cover[u]: the free
-        helpers of u, counting u itself, if free, as min(credit, deficit).
+        slack(u) is u's supply minus its deficit k - cover[u]: its free
+        neighbours, plus u's own gain `gain_own[cover[u]]` if u is free.
         Choosing every free vertex leaves u a deficit exactly when its slack
         is negative, so no extension of the current state is valid then.
         """
         free = ~(self.chosen | banned)
-        k, cover, credit, helpers = self.k, self.cover, self.credit, self.helpers
+        k, cover, nbr, own = self.k, self.cover, self.nbr, self.gain_own
         count = int.bit_count
         target, least = None, self.V  # every slack is below V
         for u in _bits(self.needy):
-            avail = helpers[u] & free
-            deficit = k - cover[u]
-            supply = count(avail)
-            if avail >> u & 1:
-                supply += min(credit, deficit) - 1
-            slack = supply - deficit
+            c = cover[u]
+            slack = count(nbr[u] & free) - (k - c)
+            if free >> u & 1:
+                slack += own[c]
             if slack < 0:
                 return None
             if slack < least:
@@ -551,40 +552,32 @@ class _DominationSearch:
 
     def _most_gain(self, pool: int) -> int:
         """The vertex of the nonempty `pool` of free vertices with the
-        largest `_gain`, the lowest on a tie."""
-        nbr, needy, cover, k, credit = (self.nbr, self.needy, self.cover,
-                                        self.k, self.credit)
-        full = k - credit  # a free vertex's whole credit counts up to here
+        largest gain, the lowest on a tie."""
+        nbr, needy, cover, own = (self.nbr, self.needy, self.cover,
+                                  self.gain_own)
         count = int.bit_count
-        # `_gain` inlined, as in `_gains`: this runs at every local move
         best, most = -1, -1
         while pool:
             low = pool & -pool
             pool ^= low
             v = low.bit_length() - 1
-            c = cover[v]
-            gain = count(nbr[v] & needy) + (credit if c <= full
-                                            else k - c if c < k else 0)
+            gain = count(nbr[v] & needy) + own[cover[v]]
             if gain > most:
                 best, most = v, gain
         return best
 
     def _least_loss(self, pool: int) -> int:
-        """The member of the nonempty `pool` with the least `_loss`, the
-        lowest on a tie."""
-        nbr, tight, cover, k, credit = (self.nbr, self.tight, self.cover,
-                                        self.k, self.credit)
-        full = k + credit  # a member's credit counts in part below here
+        """The member of the nonempty `pool` with the least loss, the lowest
+        on a tie."""
+        nbr, tight, cover, own = (self.nbr, self.tight, self.cover,
+                                  self.loss_own)
         count = int.bit_count
-        # `_loss` inlined: this runs at every local move
         best, least = -1, self.max_gain + 1  # every loss is at most max_gain
         while pool:
             low = pool & -pool
             pool ^= low
             v = low.bit_length() - 1
-            c = cover[v]
-            loss = count(nbr[v] & tight) + (credit if c <= k
-                                            else full - c if c < full else 0)
+            loss = count(nbr[v] & tight) + own[cover[v]]
             if loss < least:
                 best, least = v, loss
         return best
@@ -616,7 +609,7 @@ class _DominationSearch:
                 if not self.needy:
                     break
                 u = rng.choice(list(_bits(self.needy)))
-                pool = self.helpers[u] & ~self.chosen
+                pool = (self.nbr[u] | self.own << u) & ~self.chosen
                 v = self._most_gain(pool & ~frozen or pool)
                 self._place(v, 1)
                 pool = self.chosen & ~(1 << v)
@@ -661,11 +654,11 @@ class _DominationSearch:
         is cut too (`_target`). A cut subtree holds no solution, so the
         search finds the same first family as without the cuts. Otherwise
         the node branches over the free helpers of the needy vertex with the
-        least slack (fail first), as every valid extension chooses one.
+        least slack (fail first), as every valid extension chooses one. The
+        deadline is checked at every node, as each costs O(V) popcounts.
         """
         self.nodes += 1
-        if self.nodes % 512 == 0:
-            self.deadline.check()
+        self.deadline.check()
         if self.total == 0:
             return list(_bits(self.chosen))
         if remaining == 0:
@@ -677,7 +670,8 @@ class _DominationSearch:
         target = self._target(banned)
         if target is None:
             return None
-        avail = self.helpers[target] & ~self.chosen & ~banned
+        avail = ((self.nbr[target] | self.own << target)
+                 & ~self.chosen & ~banned)
         orbits = (_orbits(self.contains,
                           [self.masks[0], self.masks[target]], avail)
                   if orbital else [])

@@ -1,13 +1,15 @@
 """Shared builders and independent oracles for the test suite: block
 packings, seeded perturbations, neighbor counts, the distance <= 2 test, a
 brute-force domination solver, vertex-by-vertex and pair-by-pair
-references, and Delsarte's LP on a Fraction tableau."""
+references, the gain and loss of a domination search state, and Delsarte's
+LP on a Fraction tableau."""
 
 from __future__ import annotations
 
 import random
 import time
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from math import comb
 
@@ -256,33 +258,51 @@ def bron_kerbosch_rho2(params: KneserParams) -> int:
     return best
 
 
+def reference_gain(search, v: int) -> int:
+    """The deficit that choosing the free vertex v removes, its own share
+    worked out from the self-credit at v's cover: `_DominationSearch`'s
+    `gain_own` table and the scorers that read it must agree."""
+    return ((search.nbr[v] & search.needy).bit_count()
+            + min(search.credit, max(0, search.k - search.cover[v])))
+
+
+def reference_loss(search, v: int) -> int:
+    """The deficit that dropping the member v adds, written out as
+    `reference_gain` is, for the `loss_own` table."""
+    return ((search.nbr[v] & search.tight).bit_count()
+            + min(search.credit,
+                  max(0, search.k + search.credit - search.cover[v])))
+
+
 def reference_shrink(search, family: list[int], lower: int):
     """`_DominationSearch.shrink` as first written, with a tabu list, a
-    closure over it and `max`/`min` over `_gain`/`_loss`: the rewrite must
-    yield the same families, draw the same random numbers and check the
-    deadline as often."""
+    closure over it and `max`/`min` over `reference_gain` /
+    `reference_loss`: the rewrite must yield the same families, draw the
+    same random numbers and check the deadline as often."""
     rng = random.Random(_LOCAL_SEED)
 
     def allowed(pool: int, move: int) -> list[int]:
         members = list(_bits(pool))
         return [v for v in members if tabu[v] <= move] or members
 
+    gain = partial(reference_gain, search)
+    loss = partial(reference_loss, search)
+    own = 1 if search.credit else 0  # a member helps its own demand
     search._reset()
     for v in family:
         search._place(v, 1)
     for _ in range(len(family) - 1, lower - 1, -1):
-        search._place(min(_bits(search.chosen), key=search._loss), -1)
+        search._place(min(_bits(search.chosen), key=loss), -1)
         tabu = [0] * search.V  # tabu[v]: the first move that may move v
         for move in range(_LOCAL_MOVES):
             search.deadline.check()
             if not search.needy:
                 break
             u = rng.choice(list(_bits(search.needy)))
-            v = max(allowed(search.helpers[u] & ~search.chosen, move),
-                    key=search._gain)
+            helpers = search.nbr[u] | own << u
+            v = max(allowed(helpers & ~search.chosen, move), key=gain)
             search._place(v, 1)
-            w = min(allowed(search.chosen & ~(1 << v), move),
-                    key=search._loss)
+            w = min(allowed(search.chosen & ~(1 << v), move), key=loss)
             search._place(w, -1)
             tabu[v] = tabu[w] = move + 1 + _TABU_TENURE
         if search.needy:

@@ -81,6 +81,11 @@ class TestKDominating:
     def test_rejects_nonpositive_k(self):
         with pytest.raises(ParameterError):
             verify(PETERSEN_GAMMA2, KD, 0)
+        # a float or a bool is no demand, even where it equals an integer
+        for k in (2.5, 2.0, True):
+            with pytest.raises(ParameterError,
+                               match="^k must be a positive integer, got "):
+                verify(disjoint_clique(2, 3), KD, k)
 
 
 class TestKTupleDominating:

@@ -6,7 +6,9 @@ import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from math import comb, floor
 from pathlib import Path
@@ -42,6 +44,8 @@ from helpers import (
     bron_kerbosch_rho2,
     brute_force_domination,
     reference_delsarte_lp,
+    reference_gain,
+    reference_loss,
     reference_shrink,
     vertices,
 )
@@ -214,7 +218,8 @@ class TestOracleAgreement:
         lambda k: brute_force_domination(KneserParams(5, 2), KD, k),
     ])
     def test_nonpositive_k_rejected(self, solve):
-        for k in (0, -1):
+        # True would be read as k = 1, and a float ended in a TypeError
+        for k in (0, -1, 2.5, 2.0, True):
             with pytest.raises(ParameterError,
                                match=f"^k must be a positive integer, got {k}$"):
                 solve(k)
@@ -242,6 +247,12 @@ class TestSolverOptions:
                                match="timeout must be a number of seconds"):
                 SolverConfig(timeout=timeout)
         assert SolverConfig(timeout=2).timeout == 2
+        # None turned orbital branching off, and "no" left it on
+        for symmetry in (None, "no", 0, 1):
+            with pytest.raises(ParameterError,
+                               match="symmetry_breaking must be a bool"):
+                SolverConfig(symmetry_breaking=symmetry)
+        assert SolverConfig(symmetry_breaking=False).symmetry_breaking is False
 
     def test_rho2_not_accepted(self):
         with pytest.raises(ParameterError):
@@ -468,6 +479,22 @@ def _deficits(search):
     return [max(0, search.k - c) for c in search.cover]
 
 
+def test_domination_search_holds_its_graph_once():
+    # the neighbour bitsets take about V^2/8 bytes; adjacency lists, or a
+    # second copy of the bitsets, would hold several times that
+    masks = list(KneserParams(13, 4).vertex_masks())
+    V = len(masks)
+    tracemalloc.start()
+    try:
+        search = kneserdom.solve._DominationSearch(
+            masks, KD, 1, kneserdom.solve._Deadline(float("inf")))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert search.V == V == 715
+    assert held < 4 * V * V // 8
+
+
 class TestSortedGainBound:
     """`_DominationSearch._gain_bound` is at least the deficit that the best
     `remaining` free vertices remove together, found by trying them all, on
@@ -501,14 +528,20 @@ class TestSortedGainBound:
                 assert _state(search) == before
             assert search._gain_bound(remaining, banned) >= best
 
-    @pytest.mark.parametrize("kind,k", [(KD, 2), (KT, 3), (KTT, 1)])
+    @pytest.mark.parametrize("kind,k", [(KD, 1), (KD, 2), (KD, 3), (KT, 1),
+                                        (KT, 3), (KTT, 1), (KTT, 3)])
     def test_needy_tracks_deficits(self, kind, k):
         """Members are dropped in random order, as `shrink` drops them, not
-        only last chosen first, as `_dfs` does. The inlined gains of
-        `_gains` equal `_gain`."""
+        only last chosen first, as `_dfs` does. The self-credit tables hold
+        `reference_gain` / `reference_loss`'s own share at every cover, and
+        `_gains` equals `reference_gain`."""
         rng = random.Random(f"{kind.name},{k}")
         search = _search(7, 3, kind, k)
         V, nbr, credit = search.V, search.nbr, search.credit
+        covers = range(search.max_gain + 1)
+        assert search.gain_own == [min(credit, max(0, k - c)) for c in covers]
+        assert search.loss_own == [min(credit, max(0, k + credit - c))
+                                   for c in covers]
         order, out_of_order = [], 0
         for _ in range(200):
             if order and (rng.random() < 0.4 or search.total == 0):
@@ -532,21 +565,21 @@ class TestSortedGainBound:
                                        if cover[u] <= k)
             assert search.total == sum(max(0, k - c) for c in cover)
             assert search._gains(search.chosen) == [
-                0 if search.chosen >> v & 1 else search._gain(v)
+                0 if search.chosen >> v & 1 else reference_gain(search, v)
                 for v in range(V)]
         assert out_of_order > 0
 
     @pytest.mark.parametrize("n,r", [(6, 2), (7, 3)])
     @pytest.mark.parametrize("kind,k", [(KD, 2), (KT, 3), (KTT, 1)])
     def test_scorers_pick_as_max_and_min(self, n, r, kind, k):
-        """`_most_gain` and `_least_loss`, which inline `_gain` and `_loss`,
-        pick what `max(pool, key=_gain)` and `min(pool, key=_loss)` pick,
-        the lowest on a tie, from the pools `shrink` hands them: the free
-        helpers of a needy vertex and the members, less the tabu ones
-        unless every one is tabu, on seeded random partial states."""
+        """`_most_gain` and `_least_loss` pick what `max` over
+        `reference_gain` and `min` over `reference_loss` pick, the lowest on
+        a tie, from the pools `shrink` hands them: the free helpers of a
+        needy vertex and the members, less the tabu ones unless every one is
+        tabu, on seeded random partial states."""
         rng = random.Random(f"scorers,{n},{r},{kind.name},{k}")
         search = _search(n, r, kind, k)
-        V = search.V
+        V, own = search.V, 1 if search.credit else 0
         ties = all_frozen = 0
         for _ in range(60):
             search._reset()
@@ -557,10 +590,12 @@ class TestSortedGainBound:
             pools = [search.chosen]
             if search.needy:
                 u = rng.choice(list(kneserdom.solve._bits(search.needy)))
-                pools.append(search.helpers[u] & ~search.chosen)
+                pools.append((search.nbr[u] | own << u) & ~search.chosen)
             for pool, pick, key, best in [
-                    (pools[-1], search._most_gain, search._gain, max),
-                    (pools[0], search._least_loss, search._loss, min)]:
+                    (pools[-1], search._most_gain,
+                     partial(reference_gain, search), max),
+                    (pools[0], search._least_loss,
+                     partial(reference_loss, search), min)]:
                 if not pool:
                     continue  # every helper is chosen: `shrink` never asks
                 members = [v for v in range(V) if pool >> v & 1]
@@ -1092,9 +1127,9 @@ def test_lp_runs_behind_the_ceiling(monkeypatch):
 
 class TestTimeout:
     """An expired budget stops at the first deadline check (every move of
-    the domination local search, every 512 domination nodes, every clique
-    node, every 64 rows of the compatibility graph's build), so these
-    brackets do not depend on the speed of the machine."""
+    the domination local search, every domination and clique node, every
+    64 rows of the compatibility graph's build), so these brackets do not
+    depend on the speed of the machine."""
 
     def test_domination_timeout_returns_bracket(self):
         res = dom(10, 3, KTT, 3, timeout=1e-9)
@@ -1119,18 +1154,27 @@ class TestTimeout:
         assert res.status is SolveStatus.BOUNDS
         assert res.nodes == 1
 
-    def test_clique_search_checks_the_deadline_at_every_node(self):
-        # a clique node can cost a minute on K(17,8), so the first node
-        # under an expired deadline is the last
-        params = KneserParams(9, 4)
-        masks = list(params.vertex_masks())
-        contains = kneserdom.solve._containers(masks)
-        compat = kneserdom.solve._relation_bitsets(
-            masks, contains, packing_intersections(params))
-        search = kneserdom.solve._CliqueSearch(
-            compat, masks, contains, len(masks), kneserdom.solve._Deadline(0.0))
+    @pytest.mark.parametrize("which", ["clique", "domination"])
+    def test_search_checks_the_deadline_at_every_node(self, which):
+        # a clique node can cost a minute on K(17,8), and a domination node
+        # O(V) popcounts, so the first node under an expired deadline is
+        # the last
+        expired = kneserdom.solve._Deadline(0.0)
+        if which == "clique":
+            params = KneserParams(9, 4)
+            masks = list(params.vertex_masks())
+            contains = kneserdom.solve._containers(masks)
+            compat = kneserdom.solve._relation_bitsets(
+                masks, contains, packing_intersections(params))
+            search = kneserdom.solve._CliqueSearch(
+                compat, masks, contains, len(masks), expired)
+            run = partial(search.expand, [0], compat[0], None)
+        else:
+            masks = list(KneserParams(8, 3).vertex_masks())
+            search = kneserdom.solve._DominationSearch(masks, KD, 2, expired)
+            run = partial(search.find, 11, True)
         with pytest.raises(kneserdom.solve._Timeout):
-            search.expand([0], compat[0], None)
+            run()
         assert search.nodes == 1
 
     def test_rho2_timeout_returns_bracket(self):
